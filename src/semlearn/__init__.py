@@ -32,12 +32,7 @@ from .relatedness import (
     related_seen_topics,
     zero_table,
 )
-from .semantic import (
-    PropagationConfig,
-    SemanticPropagator,
-    propagate_prior,
-    semantic_predict_update,
-)
+from .semantic import PropagationConfig, SemanticPropagator, propagate_prior
 
 __all__ = [
     "__version__",
@@ -71,5 +66,4 @@ __all__ = [
     "PropagationConfig",
     "SemanticPropagator",
     "propagate_prior",
-    "semantic_predict_update",
 ]

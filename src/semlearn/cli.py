@@ -52,29 +52,39 @@ def _build_configs(config_path, sr_metric, omega):
     return base_cfg, prop_cfg
 
 
-def _common_options(fn):
-    for option in reversed(
-        [
-            click.option("--data", "data_path", required=True, help="Event log (CSV or JSONL)."),
-            click.option(
-                "--data-format",
-                type=click.Choice(["auto", "csv", "jsonl"]),
-                default="auto",
-                show_default=True,
-            ),
-            click.option("--sr-table", "sr_table_path", default=None, help="Relatedness CSV."),
-            click.option("--sr-metric", type=click.Choice(METRICS), default=None),
-            click.option("--omega", type=click.Choice(_OMEGA_CHOICES), default=None),
-            click.option("--config", "config_path", default=None, help="JSON config file."),
-            click.option("--seed", type=int, default=42, show_default=True),
-            click.option("--train-fraction", type=float, default=0.7, show_default=True),
-            click.option("--top-learners", type=int, default=None, help="Keep the N most active learners."),
-            click.option("--top-topics", type=int, default=None, help="Keep only the first K topics per event."),
-            click.option("--workers", type=int, default=1, show_default=True),
-        ]
-    ):
-        fn = option(fn)
-    return fn
+def _options(*options):
+    """Apply click options in the order listed."""
+
+    def decorate(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+
+    return decorate
+
+
+_data_options = _options(
+    click.option("--data", "data_path", required=True, help="Event log (CSV or JSONL)."),
+    click.option(
+        "--data-format",
+        type=click.Choice(["auto", "csv", "jsonl"]),
+        default="auto",
+        show_default=True,
+    ),
+    click.option("--top-topics", type=int, default=None, help="Keep only the first K topics per event."),
+)
+
+_common_options = _options(
+    _data_options,
+    click.option("--sr-table", "sr_table_path", default=None, help="Relatedness CSV."),
+    click.option("--sr-metric", type=click.Choice(METRICS), default=None),
+    click.option("--omega", type=click.Choice(_OMEGA_CHOICES), default=None),
+    click.option("--config", "config_path", default=None, help="JSON config file."),
+    click.option("--seed", type=int, default=42, show_default=True),
+    click.option("--train-fraction", type=float, default=0.7, show_default=True),
+    click.option("--top-learners", type=int, default=None, help="Keep the N most active learners."),
+    click.option("--workers", type=int, default=1, show_default=True),
+)
 
 
 @click.group()
@@ -87,40 +97,13 @@ def cli():
 @click.option("--model", type=click.Choice(MODELS), default=MODELS[0], show_default=True)
 @click.option("--compare", is_flag=True, help="Run both models and append a paired t-test.")
 @click.option("--out-dir", default="runs/evaluate", show_default=True)
-def cmd_evaluate(
-    data_path,
-    data_format,
-    sr_table_path,
-    sr_metric,
-    omega,
-    config_path,
-    seed,
-    train_fraction,
-    top_learners,
-    top_topics,
-    workers,
-    model,
-    compare,
-    out_dir,
-):
+def cmd_evaluate(config_path, sr_metric, omega, model, compare, **common):
     """Replay test-split learners sequentially and write JSON + CSV reports."""
     base_cfg, prop_cfg = _build_configs(config_path, sr_metric, omega)
-    if (compare or model == MODEL_SEMANTIC) and sr_table_path is None:
+    if (compare or model == MODEL_SEMANTIC) and common["sr_table_path"] is None:
         raise click.UsageError("--sr-table is required for the semantic model")
     out = evaluate_run(
-        data_path,
-        out_dir,
-        model,
-        sr_table_path=sr_table_path,
-        base_cfg=base_cfg,
-        prop_cfg=prop_cfg,
-        seed=seed,
-        train_fraction=train_fraction,
-        top_learners=top_learners,
-        compare=compare,
-        workers=workers,
-        data_format=data_format,
-        top_topics=top_topics,
+        model=model, compare=compare, base_cfg=base_cfg, prop_cfg=prop_cfg, **common
     )
     for entry in out["report_obj"]["models"]:
         weighted = entry["weighted"]
@@ -140,40 +123,12 @@ def cmd_evaluate(
 @click.option("--model", type=click.Choice(MODELS), default=MODELS[0], show_default=True)
 @click.option("--grid", "grid_path", required=True, help="JSON grid file ({param: [values...]}).")
 @click.option("--out-dir", default="runs/tune", show_default=True)
-def cmd_tune(
-    data_path,
-    data_format,
-    sr_table_path,
-    sr_metric,
-    omega,
-    config_path,
-    seed,
-    train_fraction,
-    top_learners,
-    top_topics,
-    workers,
-    model,
-    grid_path,
-    out_dir,
-):
+def cmd_tune(config_path, sr_metric, omega, model, **common):
     """Grid-search hyperparameters on the train split; select by weighted F1."""
     _, prop_cfg = _build_configs(config_path, sr_metric, omega)
-    if model == MODEL_SEMANTIC and sr_table_path is None:
+    if model == MODEL_SEMANTIC and common["sr_table_path"] is None:
         raise click.UsageError("--sr-table is required for the semantic model")
-    out = tune_run(
-        data_path,
-        grid_path,
-        out_dir,
-        model,
-        sr_table_path=sr_table_path,
-        prop_cfg=prop_cfg,
-        seed=seed,
-        train_fraction=train_fraction,
-        top_learners=top_learners,
-        workers=workers,
-        data_format=data_format,
-        top_topics=top_topics,
-    )
+    out = tune_run(model=model, prop_cfg=prop_cfg, **common)
     click.echo(f"best F1 {out['best_f1']:.4f} with config {out['best_config']}")
     for path in out["paths"]:
         click.echo(f"wrote {path}")
@@ -181,36 +136,20 @@ def cmd_tune(
 
 @cli.command("analyze")
 @click.argument("reports", nargs=-1, required=True)
-@click.option("--data", "data_path", required=True)
-@click.option(
-    "--data-format", type=click.Choice(["auto", "csv", "jsonl"]), default="auto", show_default=True
-)
+@_data_options
 @click.option("--sr-table", "sr_table_path", required=True)
 @click.option("--sr-metric", type=click.Choice(METRICS), default="w2v", show_default=True)
-@click.option("--top-topics", type=int, default=None)
 @click.option("--out-dir", default="runs/analyze", show_default=True)
-def cmd_analyze(reports, data_path, data_format, sr_table_path, sr_metric, top_topics, out_dir):
+def cmd_analyze(reports, **options):
     """Emit the per-feature SROCC table and recall-by-event series for evaluate reports."""
-    out = analyze_run(
-        list(reports),
-        data_path,
-        sr_table_path,
-        out_dir,
-        sr_metric=sr_metric,
-        data_format=data_format,
-        top_topics=top_topics,
-    )
+    out = analyze_run(list(reports), **options)
     click.echo(f"wrote {out['srocc']} and {out['recall_series']}")
 
 
 @cli.command("validate-data")
-@click.option("--data", "data_path", required=True)
-@click.option(
-    "--data-format", type=click.Choice(["auto", "csv", "jsonl"]), default="auto", show_default=True
-)
+@_data_options
 @click.option("--sr-table", "sr_table_path", default=None)
 @click.option("--sr-metric", type=click.Choice(METRICS), default="w2v", show_default=True)
-@click.option("--top-topics", type=int, default=None)
 def cmd_validate_data(data_path, data_format, sr_table_path, sr_metric, top_topics):
     """Load inputs, print ingestion diagnostics, and exit nonzero on hard errors."""
     dataset = load_events(data_path, fmt=data_format, top_topics=top_topics)
@@ -236,9 +175,6 @@ def main(argv=None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 1
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1

@@ -52,13 +52,6 @@ class LearnerModel:
     events_seen: int = 0
     topics_seen: set[int] = field(default_factory=set)
 
-    def skill(self, topic_id: int, default_variance: float) -> Gaussian1D:
-        """Current belief for a topic; unseen topics default to N(0, default_variance)."""
-        got = self.skills.get(topic_id)
-        if got is not None:
-            return got
-        return Gaussian1D(0.0, default_variance)
-
 
 @dataclass
 class IngestReport:

@@ -18,9 +18,8 @@ rule; every constant in the construction is exposed in ModelConfig.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from scipy.special import ndtr
@@ -55,6 +54,10 @@ class ModelConfig:
     decision_threshold: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.beta <= 0.0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.beta_perf <= 0.0:
@@ -76,43 +79,32 @@ class ModelConfig:
             raise ValueError(f"unknown model config keys: {sorted(unknown)}")
         return cls(**values)
 
-    @classmethod
-    def load(cls, path) -> "ModelConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
-    def replaced(self, **changes) -> "ModelConfig":
-        return replace(self, **changes)
+def _read_skills(
+    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig
+) -> tuple[list[float], list[float], list[float]]:
+    """Depths and the current skill means and variances of the event's topics.
+
+    Unseen topics read the N(0, beta) prior, with its variance round-tripped
+    through the precision exactly as a stored Gaussian1D would give it.
+    """
+    prior = Gaussian1D(0.0, cfg.beta)
+    skills = [model.skills.get(topic_id, prior) for topic_id, _ in event.topics]
+    depths = [depth for _, depth in event.topics]
+    return depths, [s.mean for s in skills], [s.variance for s in skills]
 
 
-def _team_moments(
-    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig, inflate: bool
-) -> tuple[list[float], list[float], list[float], float, float]:
-    """Depth weights, per-skill moments, and the difference D's mean/variance."""
-    depths: list[float] = []
-    means: list[float] = []
-    variances: list[float] = []
-    tau_sq = cfg.dynamics_tau * cfg.dynamics_tau if inflate else 0.0
-    for topic_id, depth in event.topics:
-        skill = model.skill(topic_id, cfg.beta)
-        depths.append(depth)
-        means.append(skill.mean)
-        variances.append(skill.variance + tau_sq)
+def _difference_moments(
+    depths: list[float], means: list[float], variances: list[float], cfg: ModelConfig
+) -> tuple[float, float]:
+    """Mean and variance of the performance difference D."""
     sum_d_sq = sum(d * d for d in depths)
     mean_d = sum(d * (m - cfg.depth_skill_level) for d, m in zip(depths, means))
     var_d = sum(d * d * v for d, v in zip(depths, variances)) + 2.0 * cfg.beta_perf * sum_d_sq
-    return depths, means, variances, mean_d, var_d
+    return mean_d, var_d
 
 
-def predict(
-    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig
-) -> tuple[float, int]:
-    """Probability of engagement and the thresholded +-1 prediction.
-
-    Pure: never touches model state. Unseen topics resolve to the
-    N(0, beta) prior.
-    """
-    _, _, _, mean_d, var_d = _team_moments(model, event, cfg, inflate=False)
+def _engagement(mean_d: float, var_d: float, cfg: ModelConfig) -> tuple[float, int]:
     if var_d == 0.0:
         # All depths zero: D is the constant 0, inside any margin.
         p_engage = 1.0
@@ -126,39 +118,60 @@ def predict(
     return p_engage, prediction
 
 
-def update(model: LearnerModel, event: EngagementEvent, cfg: ModelConfig) -> LearnerModel:
-    """Condition the event's skills on the observed outcome, in place.
+def predict(
+    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig
+) -> tuple[float, int]:
+    """Probability of engagement and the thresholded +-1 prediction.
 
+    Pure: never touches model state. Unseen topics resolve to the
+    N(0, beta) prior.
+    """
+    depths, means, variances = _read_skills(model, event, cfg)
+    return _engagement(*_difference_moments(depths, means, variances, cfg), cfg)
+
+
+def update(
+    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig
+) -> tuple[float, int]:
+    """One predict-then-update step; returns predict's (p_engage, prediction).
+
+    The pair is read from the beliefs before this event. The skills are then
+    inflated by tau^2 and conditioned on the observed outcome, in place.
     Engaged outcomes condition on |D| <= eps; not-engaged outcomes on the
     one-sided region beyond the margin, on the side the current mean of D
     points to. Each skill receives the share of the team correction exact
     for jointly Gaussian teams. Skills of topics absent from the event are
     untouched.
     """
-    depths, means, variances, mean_d, var_d = _team_moments(model, event, cfg, inflate=True)
+    depths, means, variances = _read_skills(model, event, cfg)
+    mean_d, var_d = _difference_moments(depths, means, variances, cfg)
+    outputs = _engagement(mean_d, var_d, cfg)
+    if cfg.dynamics_tau > 0.0:
+        tau_sq = cfg.dynamics_tau * cfg.dynamics_tau
+        variances = [v + tau_sq for v in variances]
+        mean_d, var_d = _difference_moments(depths, means, variances, cfg)
     if var_d == 0.0:
         # All depths zero: the outcome carries no information about skills.
+        prior = Gaussian1D(0.0, cfg.beta)
         for topic_id, _ in event.topics:
-            model.skills.setdefault(topic_id, Gaussian1D(0.0, cfg.beta))
-            model.topics_seen.add(topic_id)
-        model.events_seen += 1
-        return model
-    scale = math.sqrt(var_d)
-    t = mean_d / scale
-    margin = cfg.draw_margin_eps / scale
-    if event.label == ENGAGED:
-        v, w = truncated_moments_within(t, margin)
+            model.skills.setdefault(topic_id, prior)
     else:
-        side = 1.0 if t >= 0.0 else -1.0
-        v, w = truncated_moments_above(side * t, margin)
-        v *= side
-    for (topic_id, _), d, mu, var in zip(event.topics, depths, means, variances):
-        new_mean = mu + d * var * v / scale
-        new_var = var * (1.0 - w * d * d * var / var_d)
-        model.skills[topic_id] = Gaussian1D(new_mean, new_var)
-        model.topics_seen.add(topic_id)
+        scale = math.sqrt(var_d)
+        t = mean_d / scale
+        margin = cfg.draw_margin_eps / scale
+        if event.label == ENGAGED:
+            v, w = truncated_moments_within(t, margin)
+        else:
+            side = 1.0 if t >= 0.0 else -1.0
+            v, w = truncated_moments_above(side * t, margin)
+            v *= side
+        for (topic_id, _), d, mu, var in zip(event.topics, depths, means, variances):
+            new_mean = mu + d * var * v / scale
+            new_var = var * (1.0 - w * d * d * var / var_d)
+            model.skills[topic_id] = Gaussian1D(new_mean, new_var)
+    model.topics_seen.update(event.topic_ids())
     model.events_seen += 1
-    return model
+    return outputs
 
 
 def replay_session(
@@ -178,7 +191,6 @@ def replay_session(
     for event in events:
         if propagator is not None:
             propagator(model, event)
-        _, prediction = predict(model, event, cfg)
+        _, prediction = update(model, event, cfg)
         outcomes.append((prediction, event.label))
-        update(model, event, cfg)
     return outcomes

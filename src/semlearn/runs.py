@@ -15,7 +15,7 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
@@ -61,24 +61,24 @@ def file_digest(path) -> str:
 
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce a run's outputs byte-identically."""
+    """Everything needed to reproduce a run's outputs byte-identically.
+
+    Serialized with sorted keys, so field order does not reach any output.
+    """
 
     command: str
-    package_version: str
     models: list[str]
-    model_config: dict
-    propagation_config: dict | None
-    seed: int | None
-    train_fraction: float | None
-    top_learners: int | None
     inputs: dict[str, str]  # input name -> sha256
     outputs: list[str]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    model_config: dict = field(default_factory=dict)
+    propagation_config: dict | None = None
+    seed: int | None = None
+    train_fraction: float | None = None
+    top_learners: int | None = None
+    package_version: str = __version__
 
     def digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -92,6 +92,47 @@ def select_top_learners(dataset: Dataset, n: int) -> Dataset:
         learners={lid: evs for lid, evs in dataset.learners.items() if lid in keep},
         ingest=dataset.ingest,
     )
+
+
+def prepare_run(
+    data_path,
+    *,
+    needs_table: bool,
+    sr_table_path=None,
+    sr_metric: str | None = None,
+    prop_cfg: PropagationConfig | None = None,
+    split: tuple[float, int] | None = None,
+    top_learners: int | None = None,
+    data_format: str = "auto",
+    top_topics: int | None = None,
+) -> tuple[Dataset, SRTable | None, PropagationConfig | None, dict[str, str]]:
+    """Load a run's inputs: (dataset, table, prop_cfg, input digests).
+
+    With ``needs_table``, ``sr_metric`` overrides the propagation config's
+    metric and the relatedness table loads before the events; otherwise
+    table and prop_cfg are None. ``split`` is (train_fraction, seed), applied
+    after keeping the ``top_learners`` most active learners.
+    """
+    if needs_table:
+        if sr_table_path is None:
+            raise DataError("the semantic model needs --sr-table before any replay can start")
+        prop_cfg = prop_cfg or PropagationConfig()
+        if sr_metric is not None:
+            prop_cfg = replace(prop_cfg, sr_metric=sr_metric)
+        table = load_sr_table(sr_table_path, prop_cfg.sr_metric)
+    else:
+        table, prop_cfg = None, None
+
+    dataset = load_events(data_path, fmt=data_format, top_topics=top_topics)
+    if top_learners is not None:
+        dataset = select_top_learners(dataset, top_learners)
+    if split is not None:
+        dataset = split_learners(dataset, *split)
+
+    inputs = {"data": file_digest(data_path)}
+    if needs_table:
+        inputs["sr_table"] = file_digest(sr_table_path)
+    return dataset, table, prop_cfg, inputs
 
 
 # --- cohort replay (cross-learner parallel, per-learner sequential) ---
@@ -138,15 +179,12 @@ def replay_cohort(
     if workers <= 1:
         replayer = _build_replayer(model_id, base_cfg, table, prop_cfg)
         return {lid: replayer(events) for lid, events in items}
-    traces: dict[str, Trace] = {}
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
         initargs=(model_id, base_cfg, table, prop_cfg),
     ) as pool:
-        for lid, trace in pool.map(_replay_one, items, chunksize=16):
-            traces[lid] = trace
-    return {lid: traces[lid] for lid, _ in items}
+        return dict(pool.map(_replay_one, items, chunksize=16))
 
 
 # --- evaluate ---
@@ -159,7 +197,6 @@ class ModelResult:
     omega: int | None  # None = all (when sr_metric set), irrelevant otherwise
     scores: list[LearnerScore]
     weighted: tuple[float, float, float]
-    traces: dict[str, Trace]
 
 
 def _run_model(dataset, learner_ids, model_id, base_cfg, table, prop_cfg, workers):
@@ -168,11 +205,10 @@ def _run_model(dataset, learner_ids, model_id, base_cfg, table, prop_cfg, worker
     semantic = model_id == MODEL_SEMANTIC
     return ModelResult(
         model_id=model_id,
-        sr_metric=table.metric if semantic and table is not None else None,
-        omega=prop_cfg.omega_size if semantic and prop_cfg is not None else None,
+        sr_metric=table.metric if semantic else None,
+        omega=prop_cfg.omega_size if semantic else None,
         scores=scores,
         weighted=aggregate(scores),
-        traces=traces,
     )
 
 
@@ -202,22 +238,14 @@ def write_json_report(obj: dict, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_summary_csv(path: Path, digest: str, results: list[ModelResult]) -> None:
+def _write_csv(path: Path, digest: str, header: list[str], rows, *notes: str) -> None:
+    """A CSV table under '# ' lines: the manifest digest, then any notes."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# manifest_digest={digest}\n")
+        for line in [f"manifest_digest={digest}", *notes]:
+            fh.write(f"# {line}\n")
         writer = csv.writer(fh)
-        writer.writerow(["Algorithm", "SR Metric", "Prec.", "Rec.", "F1"])
-        for result in results:
-            precision, recall, f1 = result.weighted
-            writer.writerow(
-                [
-                    result.model_id,
-                    result.sr_metric or "-",
-                    f"{precision:.4f}",
-                    f"{recall:.4f}",
-                    f"{f1:.4f}",
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def evaluate_run(
@@ -240,21 +268,17 @@ def evaluate_run(
     """Replay the test split under one model (or both with compare) and write reports."""
     base_cfg = base_cfg or ModelConfig()
     models = [MODEL_BASELINE, MODEL_SEMANTIC] if compare else [model]
-    needs_sr = MODEL_SEMANTIC in models
-    if needs_sr:
-        if sr_table_path is None:
-            raise DataError("the semantic model needs --sr-table before any replay can start")
-        prop_cfg = prop_cfg or PropagationConfig()
-        if sr_metric is not None:
-            prop_cfg = prop_cfg.replaced(sr_metric=sr_metric)
-        table = load_sr_table(sr_table_path, prop_cfg.sr_metric)
-    else:
-        table, prop_cfg = None, None
-
-    dataset = load_events(data_path, fmt=data_format, top_topics=top_topics)
-    if top_learners is not None:
-        dataset = select_top_learners(dataset, top_learners)
-    dataset = split_learners(dataset, train_fraction, seed)
+    dataset, table, prop_cfg, inputs = prepare_run(
+        data_path,
+        needs_table=MODEL_SEMANTIC in models,
+        sr_table_path=sr_table_path,
+        sr_metric=sr_metric,
+        prop_cfg=prop_cfg,
+        split=(train_fraction, seed),
+        top_learners=top_learners,
+        data_format=data_format,
+        top_topics=top_topics,
+    )
     test_ids = dataset.test_ids()
 
     results = [
@@ -264,24 +288,18 @@ def evaluate_run(
 
     comparison = None
     if compare:
-        baseline, candidate = results[0], results[1]
-        by_id_a = {s.learner_id: s for s in baseline.scores}
-        by_id_b = {s.learner_id: s for s in candidate.scores}
-        ids = sorted(by_id_a)
+        baseline, candidate = results
         comparison = {"baseline": baseline.model_id, "candidate": candidate.model_id, "metrics": {}}
         for metric in ("precision", "recall", "f1"):
+            # Both score lists follow the same test learners in sorted order.
             t, p = paired_t_test_one_tailed(
-                [getattr(by_id_a[lid], metric) for lid in ids],
-                [getattr(by_id_b[lid], metric) for lid in ids],
+                [getattr(s, metric) for s in baseline.scores],
+                [getattr(s, metric) for s in candidate.scores],
             )
             comparison["metrics"][metric] = {"t": t, "p": p}
 
-    inputs = {"data": file_digest(data_path)}
-    if needs_sr:
-        inputs["sr_table"] = file_digest(sr_table_path)
     manifest = RunManifest(
         command="evaluate",
-        package_version=__version__,
         models=models,
         model_config=asdict(base_cfg),
         propagation_config=asdict(prop_cfg) if prop_cfg else None,
@@ -293,7 +311,7 @@ def evaluate_run(
     )
     digest = manifest.digest()
     report = {
-        "manifest": manifest.to_dict(),
+        "manifest": asdict(manifest),
         "manifest_digest": digest,
         "n_test_learners": len(test_ids),
         "models": [_model_report(r) for r in results],
@@ -305,7 +323,12 @@ def evaluate_run(
     report_path = out_dir / REPORT_FILENAME
     summary_path = out_dir / SUMMARY_FILENAME
     write_json_report(report, report_path)
-    _write_summary_csv(summary_path, digest, results)
+    _write_csv(
+        summary_path,
+        digest,
+        ["Algorithm", "SR Metric", "Prec.", "Rec.", "F1"],
+        ([r.model_id, r.sr_metric or "-", *(f"{x:.4f}" for x in r.weighted)] for r in results),
+    )
     return {"report": report_path, "summary": summary_path, "report_obj": report}
 
 
@@ -353,39 +376,30 @@ def tune_run(
     per-point results table.
     """
     configs = load_grid(grid_path)
-    if model == MODEL_SEMANTIC:
-        if sr_table_path is None:
-            raise DataError("the semantic model needs --sr-table before any replay can start")
-        prop_cfg = prop_cfg or PropagationConfig()
-        if sr_metric is not None:
-            prop_cfg = prop_cfg.replaced(sr_metric=sr_metric)
-        table = load_sr_table(sr_table_path, prop_cfg.sr_metric)
-    else:
-        table, prop_cfg = None, None
-
-    dataset = load_events(data_path, fmt=data_format, top_topics=top_topics)
-    if top_learners is not None:
-        dataset = select_top_learners(dataset, top_learners)
-    dataset = split_learners(dataset, train_fraction, seed)
+    dataset, table, prop_cfg, inputs = prepare_run(
+        data_path,
+        needs_table=model == MODEL_SEMANTIC,
+        sr_table_path=sr_table_path,
+        sr_metric=sr_metric,
+        prop_cfg=prop_cfg,
+        split=(train_fraction, seed),
+        top_learners=top_learners,
+        data_format=data_format,
+        top_topics=top_topics,
+    )
     train_ids = dataset.train_ids()
 
-    rows = []
-    best_index, best_f1 = 0, -1.0
+    weighted = []
     for index, cfg in enumerate(configs):
-        result = _run_model(dataset, train_ids, model, cfg, table, prop_cfg, workers)
-        precision, recall, f1 = result.weighted
-        rows.append((index, cfg, precision, recall, f1))
-        if f1 > best_f1:
-            best_index, best_f1 = index, f1
-        log.info("grid point %d: F1=%.4f %s", index, f1, asdict(cfg))
-    best_cfg = configs[best_index]
+        weighted.append(_run_model(dataset, train_ids, model, cfg, table, prop_cfg, workers).weighted)
+        log.info("grid point %d: F1=%.4f %s", index, weighted[-1][2], asdict(cfg))
+    # max keeps the first of equal F1s, so ties go to the earliest grid point.
+    best_index = max(range(len(configs)), key=lambda i: weighted[i][2])
+    best_cfg, best_f1 = configs[best_index], weighted[best_index][2]
 
-    inputs = {"data": file_digest(data_path), "grid": file_digest(grid_path)}
-    if table is not None:
-        inputs["sr_table"] = file_digest(sr_table_path)
+    inputs["grid"] = file_digest(grid_path)
     manifest = RunManifest(
         command="tune",
-        package_version=__version__,
         models=[model],
         model_config=asdict(best_cfg),
         propagation_config=asdict(prop_cfg) if prop_cfg else None,
@@ -401,32 +415,25 @@ def tune_run(
     out_dir.mkdir(parents=True, exist_ok=True)
     best_path = out_dir / BEST_CONFIG_FILENAME
     tuning_path = out_dir / TUNING_FILENAME
-    best_path.write_text(
-        json.dumps(
-            {"manifest_digest": digest, "manifest": manifest.to_dict(), "config": asdict(best_cfg)},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    write_json_report(
+        {"manifest_digest": digest, "manifest": asdict(manifest), "config": asdict(best_cfg)},
+        best_path,
     )
-    with open(tuning_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# manifest_digest={digest}\n")
-        writer = csv.writer(fh)
-        param_names = sorted(asdict(configs[0]))
-        writer.writerow(["grid_index", *param_names, "Prec.", "Rec.", "F1", "selected"])
-        for index, cfg, precision, recall, f1 in rows:
-            values = asdict(cfg)
-            writer.writerow(
-                [
-                    index,
-                    *[values[name] for name in param_names],
-                    f"{precision:.4f}",
-                    f"{recall:.4f}",
-                    f"{f1:.4f}",
-                    "yes" if index == best_index else "",
-                ]
-            )
+    param_names = sorted(asdict(configs[0]))
+    _write_csv(
+        tuning_path,
+        digest,
+        ["grid_index", *param_names, "Prec.", "Rec.", "F1", "selected"],
+        (
+            [
+                index,
+                *[getattr(cfg, name) for name in param_names],
+                *(f"{x:.4f}" for x in weighted[index]),
+                "yes" if index == best_index else "",
+            ]
+            for index, cfg in enumerate(configs)
+        ),
+    )
     return {"best_config": best_cfg, "best_f1": best_f1, "paths": [best_path, tuning_path]}
 
 
@@ -434,11 +441,24 @@ def tune_run(
 
 
 def _load_report(path) -> dict:
+    """Read an evaluate report; anything else is a data error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            report = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read report {path}: {exc}") from exc
+    try:
+        report["manifest"]["inputs"]["data"]
+        learner_lists = [entry["learners"] for entry in report["models"]]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path} is not an evaluate report ({exc!r})") from exc
+    if not learner_lists or not all(learner_lists):
+        raise DataError(f"{path}: report has no learners to analyze")
+    return report
+
+
+def _significant_rho(rho: float, p: float) -> str:
+    return f"{rho:.4f}" if not math.isnan(rho) and p < SIGNIFICANCE_LEVEL else ""
 
 
 def _traces_from_report(model_entry: dict) -> dict[str, Trace]:
@@ -463,9 +483,16 @@ def analyze_run(
     same learner set.
     """
     reports = [_load_report(p) for p in report_paths]
-    data_digest = file_digest(data_path)
+    dataset, table, _, inputs = prepare_run(
+        data_path,
+        needs_table=True,
+        sr_table_path=sr_table_path,
+        sr_metric=sr_metric,
+        data_format=data_format,
+        top_topics=top_topics,
+    )
     for path, report in zip(report_paths, reports):
-        if report["manifest"]["inputs"]["data"] != data_digest:
+        if report["manifest"]["inputs"]["data"] != inputs["data"]:
             raise DataError(
                 f"{path}: report was produced from a different dataset "
                 "(data digest mismatch)"
@@ -479,9 +506,6 @@ def analyze_run(
     if any(s != learner_sets[0] for s in learner_sets[1:]):
         raise DataError("reports cover different learner sets; refusing to analyze")
 
-    table = load_sr_table(sr_table_path, sr_metric)
-    dataset = load_events(data_path, fmt=data_format, top_topics=top_topics)
-
     srocc_by_model = {}
     series_by_model = {}
     max_n = max(len(t) for _, traces in models for t in traces.values())
@@ -490,20 +514,11 @@ def analyze_run(
         srocc_by_model[model_id] = session_feature_srocc(rows)
         series_by_model[model_id] = dict(recall_by_event_index(traces, max_n))
 
+    inputs.update({f"report_{i}": file_digest(p) for i, p in enumerate(report_paths)})
     manifest = RunManifest(
         command="analyze",
-        package_version=__version__,
         models=[mid for mid, _ in models],
-        model_config={},
-        propagation_config=None,
-        seed=None,
-        train_fraction=None,
-        top_learners=None,
-        inputs={
-            "data": data_digest,
-            "sr_table": file_digest(sr_table_path),
-            **{f"report_{i}": file_digest(p) for i, p in enumerate(report_paths)},
-        },
+        inputs=inputs,
         outputs=[SROCC_FILENAME, RECALL_SERIES_FILENAME],
     )
     digest = manifest.digest()
@@ -513,31 +528,23 @@ def analyze_run(
     srocc_path = out_dir / SROCC_FILENAME
     series_path = out_dir / RECALL_SERIES_FILENAME
     model_ids = [mid for mid, _ in models]
-    with open(srocc_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# manifest_digest={digest}\n")
-        fh.write("# graph_features=full_session\n")
-        writer = csv.writer(fh)
-        writer.writerow(["feature", *model_ids])
-        for feature in SESSION_FEATURES:
-            row = [feature]
-            for model_id in model_ids:
-                rho, p = srocc_by_model[model_id][feature]
-                significant = not math.isnan(rho) and p < SIGNIFICANCE_LEVEL
-                row.append(f"{rho:.4f}" if significant else "")
-            writer.writerow(row)
-    with open(series_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# manifest_digest={digest}\n")
-        fh.write("# recall=cumulative\n")
-        writer = csv.writer(fh)
-        writer.writerow(["n", *[f"recall_{mid}" for mid in model_ids]])
-        for n in range(1, max_n + 1):
-            if all(n not in series_by_model[mid] for mid in model_ids):
-                break
-            writer.writerow(
-                [n]
-                + [
-                    f"{series_by_model[mid][n]:.6f}" if n in series_by_model[mid] else ""
-                    for mid in model_ids
-                ]
-            )
+    _write_csv(
+        srocc_path,
+        digest,
+        ["feature", *model_ids],
+        (
+            [feature, *(_significant_rho(*srocc_by_model[mid][feature]) for mid in model_ids)]
+            for feature in SESSION_FEATURES
+        ),
+        "graph_features=full_session",
+    )
+    # Every model's traces align with the dataset's events (checked by
+    # session_feature_table), so each series covers positions 1..max_n.
+    _write_csv(
+        series_path,
+        digest,
+        ["n", *[f"recall_{mid}" for mid in model_ids]],
+        ([n, *(f"{series_by_model[mid][n]:.6f}" for mid in model_ids)] for n in range(1, max_n + 1)),
+        "recall=cumulative",
+    )
     return {"srocc": srocc_path, "recall_series": series_path}

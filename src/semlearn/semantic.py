@@ -22,14 +22,13 @@ neighbors propagate overlapping information.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .data import EngagementEvent, LearnerModel
 from .gaussians import Gaussian1D
-from .novel import ModelConfig, predict, update
+from .novel import ModelConfig
 from .relatedness import METRICS, SRTable, related_seen_topics
 
 OMEGA_SIZES = (1, 3, 5, 10, None)  # None = all related topics
@@ -73,14 +72,6 @@ class PropagationConfig:
         if values.get("omega_size") == "all":
             values = dict(values, omega_size=None)
         return cls(**values)
-
-    @classmethod
-    def load(cls, path) -> "PropagationConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def replaced(self, **changes) -> "PropagationConfig":
-        return replace(self, **changes)
 
 
 def _mixing_weights(
@@ -147,16 +138,3 @@ class SemanticPropagator:
                 model, topic_id, self.table, self.prop_cfg, self.base_cfg.beta
             )
 
-
-def semantic_predict_update(
-    model: LearnerModel,
-    event: EngagementEvent,
-    table: SRTable,
-    base_cfg: ModelConfig,
-    prop_cfg: PropagationConfig,
-) -> tuple[tuple[float, int], LearnerModel]:
-    """One semantic step: install propagated priors, predict, then update."""
-    SemanticPropagator(table, prop_cfg, base_cfg)(model, event)
-    outputs = predict(model, event, base_cfg)
-    update(model, event, base_cfg)
-    return outputs, model

@@ -85,6 +85,13 @@ class TestEvaluateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["manifest"]["model_config"]["beta"] == 1.0
 
+    def test_non_finite_config_is_usage_error_before_loading(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"beta": NaN}')
+        # The data file does not exist: loading it would exit 2.
+        assert run(["evaluate", "--data", tmp_path / "missing.csv",
+                    "--config", cfg_path]) == 1
+
     def test_top_learners_subsetting(self, corpus, tmp_path):
         out = tmp_path / "top"
         assert run(["evaluate", "--data", corpus["events"], "--top-learners", "10",
@@ -200,6 +207,18 @@ class TestAnalyzeCommand:
         other_out = tmp_path / "other_run"
         assert run(["evaluate", "--data", other_events, "--out-dir", other_out]) == 0
         assert run(["analyze", other_out / "report.json", "--data", corpus["events"],
+                    "--sr-table", corpus["sr"], "--out-dir", tmp_path / "x"]) == 2
+
+    @pytest.mark.parametrize("content", [{"foo": 1}, [1, 2], "no learners"])
+    def test_file_that_is_not_a_report_refused(self, corpus, tmp_path, content):
+        if content == "no learners":
+            content = {
+                "manifest": {"inputs": {"data": digest(corpus["events"])}},
+                "models": [{"model_id": "truelearn-novel", "learners": []}],
+            }
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(content))
+        assert run(["analyze", report, "--data", corpus["events"],
                     "--sr-table", corpus["sr"], "--out-dir", tmp_path / "x"]) == 2
 
     def test_mismatched_learner_sets_refused(self, corpus, tmp_path):

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 from semlearn.data import EngagementEvent, LearnerModel
 from semlearn.gaussians import Gaussian1D
 from semlearn.novel import ModelConfig, predict, replay_session, update
+from semlearn.semantic import PropagationConfig, SemanticPropagator
 
 from oracles import normal_interval_mass_quad, single_topic_posterior_grid
-from synthetic import random_sessions
+from synthetic import random_sessions, random_sr_table
 
 
 def event(topics, label=1, learner="x", order=0):
@@ -31,6 +34,12 @@ class TestModelConfig:
             {"draw_margin_eps": 0.0},
             {"dynamics_tau": -0.1},
             {"decision_threshold": 1.0},
+            {"beta": math.nan},
+            {"beta": math.inf},
+            {"beta_perf": math.nan},
+            {"draw_margin_eps": math.nan},
+            {"depth_skill_level": math.nan},
+            {"dynamics_tau": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -95,7 +104,7 @@ class TestPredict:
         cfg = ModelConfig(beta=0.5, beta_perf=0.5, draw_margin_eps=0.5, decision_threshold=0.3)
         _, prediction = predict(LearnerModel(), event([(1, 1.0)]), cfg)
         assert prediction == 1  # p ~= 0.317 >= 0.3
-        cfg2 = cfg.replaced(decision_threshold=0.4)
+        cfg2 = replace(cfg, decision_threshold=0.4)
         _, prediction = predict(LearnerModel(), event([(1, 1.0)]), cfg2)
         assert prediction == -1
 
@@ -198,6 +207,64 @@ class TestUpdate:
             # not-engaged pushes it away, on the side of the current mean
             expected_side = 1.0 if before >= 0.0 else -1.0
             assert math.copysign(1.0, shift) == expected_side
+
+
+class TestStep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 2.0)), max_size=4),
+        st.lists(
+            st.tuples(st.integers(0, 7), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=5,
+            unique_by=lambda topic: topic[0],
+        ),
+        st.sampled_from([1, -1]),
+        st.floats(0.01, 5.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_update_returns_predict_of_pre_update_model(self, skills, topics, label, beta, tau):
+        cfg = ModelConfig(beta=beta, dynamics_tau=tau)
+        model = LearnerModel()
+        for topic, (mean, var) in enumerate(skills):
+            model.skills[topic] = Gaussian1D(mean, var)
+            model.topics_seen.add(topic)
+        ev = event(topics, label=label)
+        before = replace(model, skills=dict(model.skills), topics_seen=set(model.topics_seen))
+        p_expected, pred_expected = predict(before, ev, cfg)
+        p_engage, prediction = update(model, ev, cfg)
+        assert (p_engage.hex(), prediction) == (p_expected.hex(), pred_expected)
+
+    def test_replay_bytes_pinned(self):
+        # Digests recorded from the two-pass predict-then-update step this
+        # one replaced. beta = 0.38 is one of the values whose variance
+        # round-trip 1/(1/beta) differs from beta, so an unseen topic that
+        # skipped the Gaussian1D prior would change the beliefs digest;
+        # tau > 0 exercises the inflation.
+        cfg = ModelConfig(
+            beta=0.38, beta_perf=0.7, draw_margin_eps=0.2, dynamics_tau=0.05, depth_skill_level=0.1
+        )
+        assert 1.0 / (1.0 / cfg.beta) != cfg.beta
+        dataset = random_sessions(n_learners=30, seed=11, topic_pool=25, max_events=40, max_topics=4)
+        table = random_sr_table(seed=11, topic_pool=25, n_pairs=80)
+        semantic = SemanticPropagator(table, PropagationConfig(), cfg)
+        traces = hashlib.sha256()
+        beliefs = hashlib.sha256()
+        for lid in sorted(dataset.learners):
+            events = dataset.learners[lid]
+            traces.update(repr(replay_session(events, cfg)).encode())
+            traces.update(repr(replay_session(events, cfg, semantic)).encode())
+            for propagator in (None, semantic):
+                model = LearnerModel()
+                for ev in events:
+                    if propagator is not None:
+                        propagator(model, ev)
+                    beliefs.update(repr(update(model, ev, cfg)).encode())
+                for topic in sorted(model.skills):
+                    skill = model.skills[topic]
+                    beliefs.update(repr((topic, skill.precision, skill.precision_mean)).encode())
+        assert traces.hexdigest() == "48ba32f2bfd02d99ddf31110cb22a8cd9cf06d0e6112bf63a716abe6058ded9d"
+        assert beliefs.hexdigest() == "fd54b483b711b101f6f7183f48dc54603e3b61bfc057a0f1f06f6a68a4421fb7"
 
 
 class TestReplaySession:

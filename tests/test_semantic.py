@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,7 @@ from semlearn.data import EngagementEvent, LearnerModel
 from semlearn.gaussians import Gaussian1D
 from semlearn.novel import ModelConfig, predict, replay_session, update
 from semlearn.relatedness import SRTable, zero_table
-from semlearn.semantic import (
-    PropagationConfig,
-    SemanticPropagator,
-    propagate_prior,
-    semantic_predict_update,
-)
+from semlearn.semantic import PropagationConfig, SemanticPropagator, propagate_prior
 
 from oracles import propagation_mc
 from synthetic import clustered_corpus, random_sessions, random_sr_table
@@ -101,7 +97,7 @@ class TestPropagatePrior:
         table.set(100, 1, 0.9)
         table.set(100, 2, 0.5)
         model = model_with({1: (2.0, 0.4), 2: (-4.0, 0.4)})
-        prior = propagate_prior(model, 100, table, ALL.replaced(omega_size=1), 0.5)
+        prior = propagate_prior(model, 100, table, replace(ALL, omega_size=1), 0.5)
         assert prior.mean == pytest.approx(0.9 * 2.0)
         assert prior.variance == pytest.approx(0.81 * 0.4)
 
@@ -109,7 +105,7 @@ class TestPropagatePrior:
         table = SRTable(metric="w2v")
         table.set(100, 1, 0.5)
         model = model_with({1: (2.0, 0.01)})
-        cfg = ALL.replaced(variance_source="initial_prior")
+        cfg = replace(ALL, variance_source="initial_prior")
         prior = propagate_prior(model, 100, table, cfg, default_variance=0.8)
         assert prior.variance == pytest.approx(0.25 * 0.8)
 
@@ -118,7 +114,7 @@ class TestPropagatePrior:
         table.set(100, 1, 0.9)
         table.set(100, 2, 0.9)
         model = model_with({1: (1.0, 0.04), 2: (3.0, 1.0)})  # se 0.2 vs 1.0
-        cfg = ALL.replaced(mixing_mode="inverse_standard_error")
+        cfg = replace(ALL, mixing_mode="inverse_standard_error")
         prior = propagate_prior(model, 100, table, cfg, default_variance=0.5)
         g1, g2 = (1 / 0.2) / (1 / 0.2 + 1.0), 1.0 / (1 / 0.2 + 1.0)
         assert prior.mean == pytest.approx(0.5 * (g1 * 1.0 + g2 * 3.0))
@@ -186,7 +182,8 @@ class TestSemanticStep:
         model_b = model_with({1: (0.5, 0.3), 2: (-0.2, 0.4)})
         ev = EngagementEvent("x", 0, ((1, 0.5), (2, 0.7)), 1)
         cfg = ModelConfig()
-        (p_sem, pred_sem), _ = semantic_predict_update(model_a, ev, table, cfg, ALL)
+        SemanticPropagator(table, ALL, cfg)(model_a, ev)
+        p_sem, pred_sem = update(model_a, ev, cfg)
         p_base, pred_base = predict(model_b, ev, cfg)
         update(model_b, ev, cfg)
         assert (p_sem, pred_sem) == (p_base, pred_base)
@@ -200,7 +197,8 @@ class TestSemanticStep:
         cfg = ModelConfig()
         sem_model = model_with({1: (2.0, 0.1)})
         ev = EngagementEvent("x", 0, ((100, 0.6),), 1)
-        (p_sem, _), _ = semantic_predict_update(sem_model, ev, table, cfg, ALL)
+        SemanticPropagator(table, ALL, cfg)(sem_model, ev)
+        p_sem, _ = update(sem_model, ev, cfg)
         injected = model_with({1: (2.0, 0.1)})
         injected.skills[100] = Gaussian1D(0.9 * 2.0, 0.81 * 0.1)
         p_base, _ = predict(injected, ev, cfg)
@@ -210,7 +208,8 @@ class TestSemanticStep:
         table = zero_table()
         model = LearnerModel()
         ev = EngagementEvent("x", 0, ((7, 0.5), (8, 0.5)), -1)
-        semantic_predict_update(model, ev, table, ModelConfig(), ALL)
+        SemanticPropagator(table, ALL, ModelConfig())(model, ev)
+        update(model, ev, ModelConfig())
         assert model.topics_seen == {7, 8}
 
     def test_first_encounter_only(self):
