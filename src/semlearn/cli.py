@@ -71,7 +71,7 @@ _data_options = _options(
         default="auto",
         show_default=True,
     ),
-    click.option("--top-topics", type=int, default=None, help="Keep only the first K topics per event."),
+    click.option("--top-topics", type=click.IntRange(min=1), help="Keep only the first K topics per event."),
 )
 
 _common_options = _options(

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import stdtr
-from scipy.stats import rankdata
 
 from .data import ENGAGED, Dataset
 from .relatedness import SRTable, avg_connectedness, build_topic_graph, min_cut_set_size
@@ -121,6 +120,19 @@ def paired_t_test_one_tailed(a: list[float], b: list[float]) -> tuple[float, flo
     return t, p
 
 
+def _average_ranks(values) -> np.ndarray:
+    """Ranks 1..n with ties given the mean of their ranks (scipy's rankdata)."""
+    x = np.asarray(values)
+    order = np.argsort(x, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(x))
+    sorted_x = x[order]
+    starts = np.r_[True, sorted_x[1:] != sorted_x[:-1]]
+    dense = np.cumsum(starts)[inverse]
+    bounds = np.r_[np.flatnonzero(starts), len(x)]
+    return 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
+
+
 def srocc(x: list[float], y: list[float]) -> tuple[float, float]:
     """Spearman rank correlation with average ranks for ties; p by t-approximation.
 
@@ -132,8 +144,8 @@ def srocc(x: list[float], y: list[float]) -> tuple[float, float]:
     n = len(x)
     if n < 3:
         raise ValueError("srocc needs at least 3 observations")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         return math.nan, math.nan
     rho = float(np.corrcoef(rx, ry)[0, 1])
@@ -159,8 +171,8 @@ def srocc_exact_permutation(x: list[float], y: list[float]) -> tuple[float, floa
     rho_obs, _ = srocc(x, y)
     if math.isnan(rho_obs):
         return math.nan, math.nan
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     threshold = abs(rho_obs) - 1e-12
     hits = 0
     total = 0
@@ -192,64 +204,36 @@ def recall_by_event_index(traces: dict[str, Trace], max_n: int) -> list[tuple[in
     return series
 
 
-@dataclass
-class SessionFeatureRow:
-    learner_id: str
-    n_events: int
-    n_unique_topics: int
-    topic_sparsity_rate: float
-    positive_label_rate: float
-    avg_connectedness: float
-    min_cut_set_size: int
-    recall: float
-
-    def feature(self, name: str) -> float:
-        return float(getattr(self, name))
-
-
 def session_feature_table(
-    dataset: Dataset, traces: dict[str, Trace], sr_table: SRTable
-) -> list[SessionFeatureRow]:
-    """Per-learner session features paired with that learner's recall.
+    dataset: Dataset, learner_ids, table: SRTable
+) -> dict[str, list[float]]:
+    """Each session feature of the listed learners, in sorted learner order.
 
-    Graph features are computed on the learner's full session. Traces must
-    align one-to-one with the learners' event lists.
+    Returns one column per name in ``SESSION_FEATURES``. The features depend
+    only on the data, so one table serves every model's recalls; graph
+    features are computed on the learner's full session.
     """
-    rows: list[SessionFeatureRow] = []
-    for learner_id in sorted(traces):
-        events = dataset.learners.get(learner_id)
-        if events is None:
-            raise ValueError(f"trace for unknown learner {learner_id!r}")
-        trace = traces[learner_id]
-        if len(trace) != len(events):
-            raise ValueError(
-                f"learner {learner_id!r}: trace has {len(trace)} entries "
-                f"for {len(events)} events"
-            )
+    columns: dict[str, list[float]] = {name: [] for name in SESSION_FEATURES}
+    for learner_id in sorted(learner_ids):
+        events = dataset.learners[learner_id]
         topic_slots = sum(len(ev.topics) for ev in events)
         unique_topics = {t for ev in events for t in ev.topic_ids()}
-        graph = build_topic_graph(events, sr_table)
-        _, recall, _ = precision_recall_f1(trace)
-        rows.append(
-            SessionFeatureRow(
-                learner_id=learner_id,
-                n_events=len(events),
-                n_unique_topics=len(unique_topics),
-                topic_sparsity_rate=1.0 - len(unique_topics) / topic_slots,
-                positive_label_rate=sum(1 for ev in events if ev.label == ENGAGED)
-                / len(events),
-                avg_connectedness=avg_connectedness(graph),
-                min_cut_set_size=min_cut_set_size(graph),
-                recall=recall,
-            )
+        graph = build_topic_graph(events, table)
+        row = (
+            len(events),
+            len(unique_topics),
+            1.0 - len(unique_topics) / topic_slots,
+            sum(1 for ev in events if ev.label == ENGAGED) / len(events),
+            avg_connectedness(graph),
+            min_cut_set_size(graph),
         )
-    return rows
+        for name, value in zip(SESSION_FEATURES, row):
+            columns[name].append(float(value))
+    return columns
 
 
-def session_feature_srocc(rows: list[SessionFeatureRow]) -> dict[str, tuple[float, float]]:
-    """SROCC of each session feature against recall, over the cohort."""
-    recalls = [row.recall for row in rows]
-    return {
-        name: srocc([row.feature(name) for row in rows], recalls)
-        for name in SESSION_FEATURES
-    }
+def session_feature_srocc(
+    features: dict[str, list[float]], recalls: list[float]
+) -> dict[str, tuple[float, float]]:
+    """SROCC of each session feature against recall, both in the same learner order."""
+    return {name: srocc(features[name], recalls) for name in SESSION_FEATURES}

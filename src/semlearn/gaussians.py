@@ -73,6 +73,10 @@ class Gaussian1D:
     def __setattr__(self, name, value):
         raise AttributeError("Gaussian1D is immutable")
 
+    def __reduce__(self):
+        # Rebuild from the natural parameters, not through __setattr__.
+        return (Gaussian1D.from_natural, (self.precision, self.precision_mean))
+
     @property
     def mean(self) -> float:
         return self.precision_mean / self.precision if self.precision > 0.0 else 0.0

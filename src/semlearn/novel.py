@@ -56,6 +56,8 @@ class ModelConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.beta <= 0.0:

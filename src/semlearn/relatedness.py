@@ -8,6 +8,7 @@ symmetric, sparse (absent pair reads as 0) and immutable after load.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -164,15 +165,13 @@ def related_seen_topics(
 
 @dataclass(frozen=True)
 class LearnerTopicGraph:
-    """Undirected graph over one learner's session topics; edges where SR > threshold."""
+    """Undirected graph over one learner's session topics; edges where SR > 0."""
 
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]  # each edge stored as (low_id, high_id)
 
 
-def build_topic_graph(
-    events_or_topics, table: SRTable, threshold: float = 0.0
-) -> LearnerTopicGraph:
+def build_topic_graph(events_or_topics, table: SRTable) -> LearnerTopicGraph:
     """Build a session's topic graph from its events (or a plain topic collection)."""
     topics: set[int] = set()
     for item in events_or_topics:
@@ -180,13 +179,10 @@ def build_topic_graph(
             topics.update(item.topic_ids())
         else:
             topics.add(int(item))
-    ordered = sorted(topics)
-    edges = set()
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if table.lookup(a, b) > threshold:
-                edges.add((a, b))
-    return LearnerTopicGraph(nodes=frozenset(topics), edges=frozenset(edges))
+    edges = frozenset(
+        (a, b) for a, b in itertools.combinations(sorted(topics), 2) if table.lookup(a, b) > 0.0
+    )
+    return LearnerTopicGraph(nodes=frozenset(topics), edges=edges)
 
 
 def avg_connectedness(graph: LearnerTopicGraph) -> float:

@@ -26,6 +26,7 @@ from .evaluation import (
     Trace,
     aggregate,
     paired_t_test_one_tailed,
+    precision_recall_f1,
     recall_by_event_index,
     session_feature_table,
     session_feature_srocc,
@@ -479,8 +480,9 @@ def analyze_run(
 ) -> dict:
     """Emit the SROCC feature table and recall-by-event series for given reports.
 
-    All reports must come from the same dataset (digest check) and cover the
-    same learner set.
+    All reports must come from the same dataset (digest check), cover the
+    same learner set, and hold one trace entry per event of each learner.
+    Session features are model-independent, so they are computed once.
     """
     reports = [_load_report(p) for p in report_paths]
     dataset, table, _, inputs = prepare_run(
@@ -505,19 +507,31 @@ def analyze_run(
     learner_sets = [set(traces) for _, traces in models]
     if any(s != learner_sets[0] for s in learner_sets[1:]):
         raise DataError("reports cover different learner sets; refusing to analyze")
+    learner_ids = sorted(learner_sets[0])
+    for model_id, traces in models:
+        for lid in learner_ids:
+            if lid not in dataset.learners:
+                raise DataError(f"reports name learner {lid!r}, who is not in the data")
+            if len(traces[lid]) != len(dataset.learners[lid]):
+                raise DataError(
+                    f"{model_id}: learner {lid!r}: trace has {len(traces[lid])} entries "
+                    f"for {len(dataset.learners[lid])} events"
+                )
 
+    features = session_feature_table(dataset, learner_ids, table)
     srocc_by_model = {}
     series_by_model = {}
     max_n = max(len(t) for _, traces in models for t in traces.values())
     for model_id, traces in models:
-        rows = session_feature_table(dataset, traces, table)
-        srocc_by_model[model_id] = session_feature_srocc(rows)
+        recalls = [precision_recall_f1(traces[lid])[1] for lid in learner_ids]
+        srocc_by_model[model_id] = session_feature_srocc(features, recalls)
         series_by_model[model_id] = dict(recall_by_event_index(traces, max_n))
+    model_ids = [mid for mid, _ in models]
 
     inputs.update({f"report_{i}": file_digest(p) for i, p in enumerate(report_paths)})
     manifest = RunManifest(
         command="analyze",
-        models=[mid for mid, _ in models],
+        models=model_ids,
         inputs=inputs,
         outputs=[SROCC_FILENAME, RECALL_SERIES_FILENAME],
     )
@@ -527,7 +541,6 @@ def analyze_run(
     out_dir.mkdir(parents=True, exist_ok=True)
     srocc_path = out_dir / SROCC_FILENAME
     series_path = out_dir / RECALL_SERIES_FILENAME
-    model_ids = [mid for mid, _ in models]
     _write_csv(
         srocc_path,
         digest,
@@ -538,8 +551,8 @@ def analyze_run(
         ),
         "graph_features=full_session",
     )
-    # Every model's traces align with the dataset's events (checked by
-    # session_feature_table), so each series covers positions 1..max_n.
+    # Every model's traces align with the dataset's events (checked above),
+    # so each series covers positions 1..max_n.
     _write_csv(
         series_path,
         digest,

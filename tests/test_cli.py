@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semlearn
+from semlearn import evaluation
 from semlearn.cli import main
 from semlearn.data import save_events
-from semlearn.runs import evaluate_run, load_grid, select_top_learners
+from semlearn.runs import analyze_run, evaluate_run, load_grid, select_top_learners
 
 from synthetic import clustered_corpus, random_sessions, write_sr_csv
 
@@ -92,6 +98,13 @@ class TestEvaluateCommand:
         assert run(["evaluate", "--data", tmp_path / "missing.csv",
                     "--config", cfg_path]) == 1
 
+    @pytest.mark.parametrize("content", ['{"beta": "a"}', '{"beta": true}', '{"beta": null}'])
+    def test_non_numeric_config_is_usage_error_before_loading(self, tmp_path, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        assert run(["evaluate", "--data", tmp_path / "missing.csv",
+                    "--config", cfg_path]) == 1
+
     def test_top_learners_subsetting(self, corpus, tmp_path):
         out = tmp_path / "top"
         assert run(["evaluate", "--data", corpus["events"], "--top-learners", "10",
@@ -163,6 +176,12 @@ class TestTuneCommand:
         grid.write_text("{}")
         assert run(["tune", "--data", corpus["events"], "--grid", grid]) == 2
 
+    @pytest.mark.parametrize("values", [["a"], [0.5, True]])
+    def test_non_numeric_grid_value_is_usage_error_before_loading(self, tmp_path, values):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"beta": values}))
+        assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid]) == 1
+
     def test_load_grid_order(self, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"beta": [0.5, 1.0], "dynamics_tau": [0.0, 0.1]}))
@@ -230,6 +249,44 @@ class TestAnalyzeCommand:
                     "--data", corpus["events"], "--sr-table", corpus["sr"],
                     "--out-dir", tmp_path / "y"]) == 2
 
+    @pytest.mark.parametrize("change", ["truncate", "unknown_learner"])
+    def test_report_that_does_not_fit_the_data_is_data_error(self, corpus, tmp_path, change):
+        base_out = tmp_path / "base"
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", base_out]) == 0
+        report = json.loads((base_out / "report.json").read_text())
+        learner = report["models"][0]["learners"][0]
+        if change == "truncate":
+            learner["predictions"].pop()
+            learner["labels"].pop()
+        else:
+            learner["learner_id"] = "not-in-the-data"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(report))
+        assert run(["analyze", edited, "--data", corpus["events"],
+                    "--sr-table", corpus["sr"], "--out-dir", tmp_path / "x"]) == 2
+
+    def test_graph_features_computed_once_per_learner(self, corpus, tmp_path, monkeypatch):
+        base_out = tmp_path / "base"
+        cmp_out = tmp_path / "cmp"
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", base_out]) == 0
+        assert run(["evaluate", "--compare", "--data", corpus["events"],
+                    "--sr-table", corpus["sr"], "--out-dir", cmp_out]) == 0
+        calls = {"build_topic_graph": [], "min_cut_set_size": []}
+        for name in calls:
+            real = getattr(evaluation, name)
+
+            def counted(graph_input, *args, _real=real, _name=name, **kwargs):
+                calls[_name].append(graph_input)
+                return _real(graph_input, *args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        analyze_run([base_out / "report.json", cmp_out / "report.json"], corpus["events"],
+                    corpus["sr"], tmp_path / "analysis")
+        learners = json.loads((base_out / "report.json").read_text())["models"][0]["learners"]
+        graph_learners = [events[0].learner_id for events in calls["build_topic_graph"]]
+        assert sorted(graph_learners) == sorted(entry["learner_id"] for entry in learners)
+        assert len(calls["min_cut_set_size"]) == len(learners)
+
 
 class TestValidateData:
     def test_clean_file(self, corpus, capsys):
@@ -249,6 +306,18 @@ class TestValidateData:
         path = tmp_path / "events.csv"
         path.write_text("learner_id,order_index,label,topics\na,0,1,1:0.5\na,0,1,2:0.5\n")
         assert run(["validate-data", "--data", path]) == 2
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_top_topics_below_one_is_usage_error(self, corpus, k):
+        assert run(["validate-data", "--data", corpus["events"], "--top-topics", k]) == 1
+        assert run(["evaluate", "--data", corpus["events"], "--top-topics", k]) == 1
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = str(Path(semlearn.__file__).resolve().parents[1])
+    code = "import sys, semlearn.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestRunHelpers:

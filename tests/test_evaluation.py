@@ -1,14 +1,18 @@
+import hashlib
+import json
 import math
 import random
 
 import pytest
 
-from semlearn.data import Dataset, EngagementEvent
+from semlearn.data import Dataset, DataError, EngagementEvent, save_events
 from semlearn.evaluation import (
+    SESSION_FEATURES,
     LearnerScore,
     aggregate,
     confusion_counts,
     paired_t_test_one_tailed,
+    precision_recall_f1,
     recall_by_event_index,
     session_feature_table,
     session_feature_srocc,
@@ -17,6 +21,7 @@ from semlearn.evaluation import (
     srocc_exact_permutation,
 )
 from semlearn.relatedness import SRTable, zero_table
+from semlearn.runs import analyze_run
 
 from oracles import (
     paired_t_oracle,
@@ -204,13 +209,13 @@ class TestSessionFeatures:
 
     def test_basic_feature_row(self):
         ds, traces = self.dataset_and_traces()
-        rows = session_feature_table(ds, traces, zero_table())
-        row = rows[0]
-        assert row.n_events == 10
-        assert row.n_unique_topics == 4
-        assert row.positive_label_rate == pytest.approx(0.7)
-        assert row.topic_sparsity_rate == pytest.approx(1.0 - 4.0 / 10.0)
-        assert row.recall == 1.0
+        features = session_feature_table(ds, traces, zero_table())
+        assert set(features) == set(SESSION_FEATURES)
+        assert features["n_events"] == [10.0]
+        assert features["n_unique_topics"] == [4.0]
+        assert features["positive_label_rate"] == [pytest.approx(0.7)]
+        assert features["topic_sparsity_rate"] == [pytest.approx(1.0 - 4.0 / 10.0)]
+        assert precision_recall_f1(traces["a"])[1] == 1.0
 
     def test_triangle_session_graph_features(self):
         table = SRTable(metric="w2v")
@@ -218,9 +223,9 @@ class TestSessionFeatures:
             table.set(a, b, 0.8)
         events = [EngagementEvent("a", i, ((t, 0.5),), 1) for i, t in enumerate([1, 2, 3])]
         ds = Dataset(learners={"a": events})
-        rows = session_feature_table(ds, {"a": [(1, 1)] * 3}, table)
-        assert rows[0].avg_connectedness == 2.0
-        assert rows[0].min_cut_set_size == 2
+        features = session_feature_table(ds, ["a"], table)
+        assert features["avg_connectedness"] == [2.0]
+        assert features["min_cut_set_size"] == [2.0]
 
     def test_srocc_entries_match_recount(self):
         rng = random.Random(53)
@@ -236,15 +241,31 @@ class TestSessionFeatures:
             learners[lid] = events
             traces[lid] = [(rng.choice([1, -1]), ev.label) for ev in events]
         ds = Dataset(learners=learners)
-        rows = session_feature_table(ds, traces, zero_table())
-        stats = session_feature_srocc(rows)
-        recalls = [r.recall for r in rows]
-        n_events = [float(r.n_events) for r in rows]
+        order = sorted(learners, reverse=True)  # the table sorts its learners itself
+        features = session_feature_table(ds, order, zero_table())
+        recalls = [precision_recall_f1(traces[lid])[1] for lid in sorted(learners)]
+        stats = session_feature_srocc(features, recalls)
+        n_events = [float(len(learners[lid])) for lid in sorted(learners)]
         rho_ref = spearman_rho_brute(n_events, recalls)
         assert stats["n_events"][0] == pytest.approx(rho_ref, abs=1e-12)
 
-    def test_trace_alignment_enforced(self):
+    def test_trace_alignment_enforced(self, tmp_path):
         ds, traces = self.dataset_and_traces()
-        traces["a"] = traces["a"][:-1]
-        with pytest.raises(ValueError, match="trace has"):
-            session_feature_table(ds, traces, zero_table())
+        events = tmp_path / "events.csv"
+        save_events(ds, events)
+        sr = tmp_path / "sr.csv"
+        sr.write_text("topic_a,topic_b,metric,value\n1,2,w2v,0.5\n")
+        digest = hashlib.sha256(events.read_bytes()).hexdigest()
+
+        def report_with(learner_id, trace):
+            learners = [{"learner_id": learner_id, "predictions": [p for p, _ in trace],
+                         "labels": [l for _, l in trace]}]
+            path = tmp_path / f"report_{learner_id}_{len(trace)}.json"
+            path.write_text(json.dumps({"manifest": {"inputs": {"data": digest}},
+                                        "models": [{"model_id": "m", "learners": learners}]}))
+            return path
+
+        with pytest.raises(DataError, match="trace has 9 entries for 10 events"):
+            analyze_run([report_with("a", traces["a"][:-1])], events, sr, tmp_path / "short")
+        with pytest.raises(DataError, match="not in the data"):
+            analyze_run([report_with("ghost", traces["a"])], events, sr, tmp_path / "ghost")

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -44,6 +46,15 @@ class TestGaussian1D:
         g = Gaussian1D(0.0, 1.0)
         with pytest.raises(AttributeError):
             g.precision = 2.0
+
+    @pytest.mark.parametrize("g", [Gaussian1D(0.1, 0.5), Gaussian1D(-3.7, 1e-3), UNINFORMATIVE])
+    def test_pickle_and_copy_are_bitwise(self, g):
+        for back in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert type(back) is Gaussian1D
+            assert back.precision.hex() == g.precision.hex()
+            assert back.precision_mean.hex() == g.precision_mean.hex()
+        with pytest.raises(AttributeError):
+            back.precision = 2.0
 
     @given(finite_means, proper_variances)
     def test_roundtrip_property(self, mean, variance):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import random
@@ -40,6 +41,12 @@ class TestModelConfig:
             {"draw_margin_eps": math.nan},
             {"depth_skill_level": math.nan},
             {"dynamics_tau": math.inf},
+            {"beta": "a"},
+            {"beta": "0.5"},
+            {"beta": True},
+            {"decision_threshold": False},
+            {"dynamics_tau": None},
+            {"beta_perf": [0.5]},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -124,6 +131,17 @@ class TestUpdate:
         model.topics_seen.add(42)
         update(model, event([(1, 0.5)]), cfg)
         assert model.skills[42] is frozen
+
+    def test_deepcopy_after_update_is_independent(self):
+        cfg = ModelConfig()
+        model = LearnerModel()
+        update(model, event([(1, 0.5), (2, 0.3)]), cfg)
+        snapshot = copy.deepcopy(model)
+        assert snapshot == model
+        assert snapshot.skills[1] is not model.skills[1]
+        update(model, event([(1, 0.5)], label=-1, order=1), cfg)
+        assert snapshot != model
+        assert snapshot.events_seen == 1
 
     def test_repeated_engagement_shrinks_variance_monotonically(self):
         cfg = ModelConfig(dynamics_tau=0.0)
