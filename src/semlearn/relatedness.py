@@ -1,21 +1,24 @@
 """Precomputed semantic-relatedness tables and per-session topic-graph analytics.
 
 SR files come in a long format (``topic_a,topic_b,metric,value``) or a wide
-format (``topic_a,topic_b,mw,w2v,...``); the header decides. Tables are
-symmetric, sparse (absent pair reads as 0) and immutable after load.
+format (``topic_a,topic_b,mw,w2v,...``); the header decides. A loaded table
+is one row of neighbours per topic, each pair stored under both of its
+topics, so prior propagation and the topic-graph build both walk rows
+instead of probing pairs. Tables are sparse (absent pair reads as 0) and
+immutable after load.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import networkx as nx
 
-from .data import DataError, EngagementEvent
+from .data import DataError
 
 log = logging.getLogger(__name__)
 
@@ -24,23 +27,30 @@ METRICS = ("mw", "w2v", "pmi", "lm", "jaccard", "cp", "ba")
 
 @dataclass
 class SRTable:
-    """Sparse symmetric map (topic, topic) -> relatedness in [0, 1] for one metric."""
+    """Sparse symmetric relatedness in [0, 1] for one metric, as neighbour rows.
+
+    ``neighbours[a][b]`` is the relatedness of the pair {a, b}; every pair is
+    held in both rows, a topic never appears in its own row, and topics with
+    no pairs have no row. Zero-valued pairs are kept, so ``len`` counts every
+    distinct pair written.
+    """
 
     metric: str
-    entries: dict[tuple[int, int], float] = field(default_factory=dict)
+    neighbours: dict[int, dict[int, float]] = field(default_factory=dict)
 
     def lookup(self, a: int, b: int) -> float:
         if a == b:
             return 1.0
-        return self.entries.get((a, b) if a < b else (b, a), 0.0)
+        return self.neighbours.get(a, {}).get(b, 0.0)
 
     def set(self, a: int, b: int, value: float) -> None:
         if a == b:
             return
-        self.entries[(a, b) if a < b else (b, a)] = value
+        self.neighbours.setdefault(a, {})[b] = value
+        self.neighbours.setdefault(b, {})[a] = value
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.neighbours.values())) // 2
 
 
 def zero_table(metric: str = "w2v") -> SRTable:
@@ -51,97 +61,67 @@ def zero_table(metric: str = "w2v") -> SRTable:
 def load_sr_table(path, metric: str) -> SRTable:
     """Load one metric's SR table from a long- or wide-format CSV.
 
-    Values outside [0,1] are clamped with a warning; duplicate pairs keep
-    the last value with a count reported. An unknown metric is an error
-    listing what the file provides.
+    Values outside [0,1] are clamped with a warning; a value that is not
+    finite is an error naming its line. Duplicate pairs keep the last value
+    with a count reported. An unknown metric is an error listing what the
+    file provides.
     """
     metric = metric.lower()
     path = Path(path)
     if not path.exists():
         raise DataError(f"SR table not found: {path}")
+    table = SRTable(metric=metric)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             log.warning("%s: empty SR file", path)
-            return SRTable(metric=metric)
+            return table
         header = [h.strip().lower() for h in header]
         if header[:2] != ["topic_a", "topic_b"]:
             raise DataError(f"{path}: SR header must start with topic_a,topic_b")
-        if header[2:] == ["metric", "value"]:
-            return _load_long(path, reader, metric)
-        return _load_wide(path, reader, header, metric)
-
-
-def _finish(table: SRTable, path: Path, duplicates: int, clamped: int, found: bool, available) -> SRTable:
-    if not found:
+        long_format = header[2:] == ["metric", "value"]
+        if long_format:
+            col, available = 3, set()
+        elif metric in header[2:]:
+            col, available = header.index(metric, 2), header[2:]
+        else:
+            raise DataError(
+                f"{path}: metric {metric!r} not present; available: {', '.join(header[2:])}"
+            )
+        written = clamped = 0
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                a, b = int(row[0]), int(row[1])
+                if long_format:
+                    row_metric = row[2].strip().lower()
+                value = float(row[col])
+            except (ValueError, IndexError) as exc:
+                raise DataError(f"{path}:{line_no}: bad SR row: {exc}") from exc
+            if long_format:
+                available.add(row_metric)
+                if row_metric != metric:
+                    continue
+            if not 0.0 <= value <= 1.0:
+                if not math.isfinite(value):
+                    raise DataError(f"{path}:{line_no}: relatedness must be finite, got {value}")
+                value = min(max(value, 0.0), 1.0)
+                clamped += 1
+            if a != b:
+                written += 1
+                table.set(a, b, value)
+    if metric not in available:
         raise DataError(
-            f"{path}: metric {table.metric!r} not present; available: {', '.join(sorted(available))}"
+            f"{path}: metric {metric!r} not present; available: {', '.join(sorted(available))}"
         )
-    if duplicates:
-        log.warning("%s: %d duplicate pair(s), last value kept", path, duplicates)
+    # Every written pair is new or overwrites an earlier one.
+    if written > len(table):
+        log.warning("%s: %d duplicate pair(s), last value kept", path, written - len(table))
     if clamped:
         log.warning("%s: %d value(s) outside [0,1] clamped", path, clamped)
     return table
-
-
-def _load_long(path: Path, reader, metric: str) -> SRTable:
-    table = SRTable(metric=metric)
-    duplicates = clamped = 0
-    available: set[str] = set()
-    found = False
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            a, b = int(row[0]), int(row[1])
-            row_metric = row[2].strip().lower()
-            value = float(row[3])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}:{line_no}: bad SR row: {exc}") from exc
-        available.add(row_metric)
-        if row_metric != metric:
-            continue
-        found = True
-        value, clamped = _clamp(value, clamped)
-        if a != b:
-            key = (a, b) if a < b else (b, a)
-            if key in table.entries:
-                duplicates += 1
-            table.entries[key] = value
-    return _finish(table, path, duplicates, clamped, found, available)
-
-
-def _load_wide(path: Path, reader, header: list[str], metric: str) -> SRTable:
-    columns = header[2:]
-    if metric not in columns:
-        raise DataError(
-            f"{path}: metric {metric!r} not present; available: {', '.join(columns)}"
-        )
-    col = 2 + columns.index(metric)
-    table = SRTable(metric=metric)
-    duplicates = clamped = 0
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            a, b = int(row[0]), int(row[1])
-            value = float(row[col])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}:{line_no}: bad SR row: {exc}") from exc
-        value, clamped = _clamp(value, clamped)
-        if a != b:
-            key = (a, b) if a < b else (b, a)
-            if key in table.entries:
-                duplicates += 1
-            table.entries[key] = value
-    return _finish(table, path, duplicates, clamped, True, columns)
-
-
-def _clamp(value: float, clamped: int) -> tuple[float, int]:
-    if value < 0.0 or value > 1.0:
-        return min(max(value, 0.0), 1.0), clamped + 1
-    return value, clamped
 
 
 def related_seen_topics(
@@ -154,8 +134,8 @@ def related_seen_topics(
     """
     scored = [
         (topic, rho)
-        for topic in seen
-        if topic != target and (rho := table.lookup(target, topic)) > 0.0
+        for topic, rho in table.neighbours.get(target, {}).items()
+        if rho > 0.0 and topic in seen
     ]
     scored.sort(key=lambda tr: (-tr[1], tr[0]))
     if k is not None:
@@ -171,16 +151,14 @@ class LearnerTopicGraph:
     edges: frozenset[tuple[int, int]]  # each edge stored as (low_id, high_id)
 
 
-def build_topic_graph(events_or_topics, table: SRTable) -> LearnerTopicGraph:
-    """Build a session's topic graph from its events (or a plain topic collection)."""
-    topics: set[int] = set()
-    for item in events_or_topics:
-        if isinstance(item, EngagementEvent):
-            topics.update(item.topic_ids())
-        else:
-            topics.add(int(item))
+def build_topic_graph(events, table: SRTable) -> LearnerTopicGraph:
+    """Build a session's topic graph from its events."""
+    topics = {t for ev in events for t in ev.topic_ids()}
     edges = frozenset(
-        (a, b) for a, b in itertools.combinations(sorted(topics), 2) if table.lookup(a, b) > 0.0
+        (a, b)
+        for a in topics
+        for b, rho in table.neighbours.get(a, {}).items()
+        if a < b and rho > 0.0 and b in topics
     )
     return LearnerTopicGraph(nodes=frozenset(topics), edges=edges)
 

@@ -518,6 +518,8 @@ def analyze_run(
                     f"for {len(dataset.learners[lid])} events"
                 )
 
+    if len(learner_ids) < 3:
+        raise DataError(f"reports cover {len(learner_ids)} learner(s); analyze needs at least 3")
     features = session_feature_table(dataset, learner_ids, table)
     srocc_by_model = {}
     series_by_model = {}

@@ -54,9 +54,11 @@ class PropagationConfig:
             raise ValueError(
                 f"sr_metric must be one of {METRICS}, got {self.sr_metric!r}"
             )
-        if self.omega_size not in OMEGA_SIZES:
+        omega = self.omega_size
+        # type(), not isinstance(): 1.0 and True equal 1 but are not sizes.
+        if omega is not None and (type(omega) is not int or omega not in OMEGA_SIZES):
             raise ValueError(
-                f"omega_size must be one of 1, 3, 5, 10 or None, got {self.omega_size!r}"
+                f"omega_size must be one of 1, 3, 5, 10 or None, got {omega!r}"
             )
         if self.mixing_mode not in (MIX_SEMANTIC_RELATEDNESS, MIX_INVERSE_STANDARD_ERROR):
             raise ValueError(f"unknown mixing_mode {self.mixing_mode!r}")

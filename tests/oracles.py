@@ -198,3 +198,15 @@ def vertex_connectivity_brute(nodes, edges) -> int:
             if len(rest) >= 2 and not connected_brute(rest, edges):
                 return k
     return n - 1
+
+
+def related_seen_brute(relatedness, target, seen, k=None) -> list[tuple[int, float]]:
+    """Scan every seen topic, keep relatedness > 0, strongest first, ties to the lower id."""
+    scored = [(t, rho) for t in seen if t != target and (rho := relatedness(target, t)) > 0.0]
+    scored.sort(key=lambda tr: (-tr[1], tr[0]))
+    return scored if k is None else scored[:k]
+
+
+def session_edges_brute(relatedness, topics) -> set[tuple[int, int]]:
+    """Every pair (low, high) of session topics whose relatedness is > 0."""
+    return {(a, b) for a, b in itertools.combinations(sorted(topics), 2) if relatedness(a, b) > 0.0}

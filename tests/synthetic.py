@@ -98,15 +98,17 @@ def clustered_corpus(
 
 def write_sr_csv(table: SRTable, path, fmt: str = "long") -> None:
     """Write a table to disk in the long or wide SR schema."""
-    rows = sorted(table.entries.items())
+    rows = sorted(
+        (a, b, value) for a, row in table.neighbours.items() for b, value in row.items() if a < b
+    )
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "long":
             fh.write("topic_a,topic_b,metric,value\n")
-            for (a, b), value in rows:
+            for a, b, value in rows:
                 fh.write(f"{a},{b},{table.metric},{value}\n")
         elif fmt == "wide":
             fh.write(f"topic_a,topic_b,{table.metric}\n")
-            for (a, b), value in rows:
+            for a, b, value in rows:
                 fh.write(f"{a},{b},{value}\n")
         else:
             raise ValueError(fmt)

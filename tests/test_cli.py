@@ -105,6 +105,13 @@ class TestEvaluateCommand:
         assert run(["evaluate", "--data", tmp_path / "missing.csv",
                     "--config", cfg_path]) == 1
 
+    @pytest.mark.parametrize("content", ['{"omega_size": 1.0}', '{"omega_size": true}'])
+    def test_non_integer_omega_size_is_usage_error_before_loading(self, tmp_path, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        assert run(["evaluate", "--model", "semantic-truelearn", "--data", tmp_path / "missing.csv",
+                    "--sr-table", tmp_path / "missing_sr.csv", "--config", cfg_path]) == 1
+
     def test_top_learners_subsetting(self, corpus, tmp_path):
         out = tmp_path / "top"
         assert run(["evaluate", "--data", corpus["events"], "--top-learners", "10",
@@ -265,6 +272,17 @@ class TestAnalyzeCommand:
         assert run(["analyze", edited, "--data", corpus["events"],
                     "--sr-table", corpus["sr"], "--out-dir", tmp_path / "x"]) == 2
 
+    def test_fewer_than_three_learners_is_data_error(self, corpus, tmp_path, capsys):
+        base_out = tmp_path / "base"
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", base_out]) == 0
+        report = json.loads((base_out / "report.json").read_text())
+        del report["models"][0]["learners"][2:]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(report))
+        assert run(["analyze", edited, "--data", corpus["events"],
+                    "--sr-table", corpus["sr"], "--out-dir", tmp_path / "x"]) == 2
+        assert "reports cover 2 learner(s)" in capsys.readouterr().err
+
     def test_graph_features_computed_once_per_learner(self, corpus, tmp_path, monkeypatch):
         base_out = tmp_path / "base"
         cmp_out = tmp_path / "cmp"
@@ -306,6 +324,12 @@ class TestValidateData:
         path = tmp_path / "events.csv"
         path.write_text("learner_id,order_index,label,topics\na,0,1,1:0.5\na,0,1,2:0.5\n")
         assert run(["validate-data", "--data", path]) == 2
+
+    def test_non_finite_relatedness_exits_two(self, corpus, tmp_path, capsys):
+        sr = tmp_path / "sr.csv"
+        sr.write_text("topic_a,topic_b,metric,value\n1,2,w2v,nan\n")
+        assert run(["validate-data", "--data", corpus["events"], "--sr-table", sr]) == 2
+        assert "sr.csv:2: relatedness must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_top_topics_below_one_is_usage_error(self, corpus, k):

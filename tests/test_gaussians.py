@@ -2,9 +2,10 @@ import copy
 import math
 import pickle
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semlearn.gaussians import (
@@ -20,6 +21,7 @@ from oracles import above_corrections_quad, within_corrections_quad
 
 finite_means = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 proper_variances = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+EPS = sys.float_info.epsilon
 
 
 def gaussians():
@@ -92,10 +94,21 @@ class TestMultiplyDivide:
             divide(Gaussian1D(0, 2.0), Gaussian1D(0, 1.0))
 
     @given(gaussians(), gaussians())
-    def test_roundtrip_within_1e9(self, a, b):
+    @example(a=Gaussian1D(0.25, 754.0), b=Gaussian1D(32.0, 0.001953125))
+    def test_roundtrip_within_cancellation_bound(self, a, b):
+        # Each of the four natural-parameter sums rounds once (relative error
+        # <= EPS/2). Subtracting b again leaves a's precision with an absolute
+        # error of about EPS * (pa + pb), i.e. relative EPS * kappa with
+        # kappa = (pa + pb) / pa, and a's precision-mean with an absolute error
+        # of about EPS * (|ma| + |mb|). The variance 1/p then carries relative
+        # error ~EPS * kappa, and the mean m/p absolute error
+        # ~EPS * ((|ma| + |mb|) / pa + kappa * |mean|). The factor 4 covers
+        # the final divisions, a's own rounding and second-order terms.
+        kappa = (a.precision + b.precision) / a.precision
+        magnitude = (abs(a.precision_mean) + abs(b.precision_mean)) / a.precision
         back = divide(multiply(a, b), b)
-        assert back.mean == pytest.approx(a.mean, rel=1e-9, abs=1e-9)
-        assert back.variance == pytest.approx(a.variance, rel=1e-9)
+        assert abs(back.mean - a.mean) <= 4 * EPS * (magnitude + kappa * abs(a.mean))
+        assert abs(back.variance - a.variance) <= 4 * EPS * kappa * a.variance
 
 
 class TestTruncatedWithin:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlearn.data import DataError
+from semlearn.data import DataError, EngagementEvent
 from semlearn.relatedness import (
     LearnerTopicGraph,
     SRTable,
@@ -16,8 +17,10 @@ from semlearn.relatedness import (
     related_seen_topics,
     zero_table,
 )
+from semlearn.semantic import OMEGA_SIZES
 
-from oracles import vertex_connectivity_brute
+from oracles import related_seen_brute, session_edges_brute, vertex_connectivity_brute
+from synthetic import random_sr_table, write_sr_csv
 
 
 def write_lines(path, lines):
@@ -77,6 +80,38 @@ class TestLoadSrTable:
         path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,mw", "1,2,0.1"])
         with pytest.raises(DataError, match="available: mw"):
             load_sr_table(path, "w2v")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["topic_a,topic_b,metric,value", "1,2,w2v,0.5", "1,3,w2v,{}"],
+            ["topic_a,topic_b,w2v", "1,2,0.5", "1,3,{}"],
+        ],
+        ids=["long", "wide"],
+    )
+    def test_non_finite_value_is_error(self, tmp_path, lines, value):
+        path = write_lines(tmp_path / "sr.csv", [line.format(value) for line in lines])
+        with pytest.raises(DataError, match=r"sr\.csv:3: relatedness must be finite"):
+            load_sr_table(path, "w2v")
+
+    # sha256 of what the pair-keyed table wrote: the neighbour rows write the same bytes.
+    WRITTEN = {
+        "long": "97b1345b7d1289ee32bf5cd447912a093d7d66b9d23d9d360916de23826a9f74",
+        "wide": "05678a983fa37470bcc7b9713a9c8aa60c6796861e2cf7919aa12e9af80e612f",
+    }
+
+    @pytest.mark.parametrize("fmt", ["long", "wide"])
+    def test_written_table_round_trips(self, tmp_path, fmt):
+        table = random_sr_table(seed=3)
+        table.set(40, 41, 0.0)
+        table.set(3, 3, 0.5)
+        path = tmp_path / "sr.csv"
+        write_sr_csv(table, path, fmt)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.WRITTEN[fmt]
+        loaded = load_sr_table(path, "w2v")
+        assert loaded.neighbours == table.neighbours
+        assert len(loaded) == len(table) == 111
 
     def test_bad_row_is_error(self, tmp_path):
         path = write_lines(
@@ -216,17 +251,15 @@ class TestGraphAnalytics:
 
 
 class TestBuildTopicGraph:
-    def test_from_topic_ids_with_threshold(self):
+    def test_zero_valued_pair_is_no_edge(self):
         t = SRTable(metric="w2v")
         t.set(1, 2, 0.5)
         t.set(2, 3, 0.0)
-        g = build_topic_graph([1, 2, 3], t)
+        g = build_topic_graph([EngagementEvent("a", 0, ((1, 0.5), (2, 0.5), (3, 0.5)), 1)], t)
         assert g.nodes == frozenset({1, 2, 3})
         assert g.edges == frozenset({(1, 2)})
 
     def test_from_events(self):
-        from semlearn.data import EngagementEvent
-
         t = SRTable(metric="w2v")
         t.set(1, 2, 0.9)
         events = [
@@ -236,3 +269,48 @@ class TestBuildTopicGraph:
         g = build_topic_graph(events, t)
         assert g.nodes == frozenset({1, 2, 3})
         assert g.edges == frozenset({(1, 2)})
+
+
+class TestRowWalksMatchOracles:
+    """Neighbour-row walks agree with brute-force scans over a reference pair map."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        writes=st.lists(
+            st.tuples(
+                st.integers(0, 12),
+                st.integers(0, 12),
+                st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+            ),
+            max_size=60,
+        ),
+        seen=st.sets(st.integers(0, 12)),
+        session=st.lists(st.sets(st.integers(0, 12), min_size=1, max_size=5), min_size=1, max_size=6),
+    )
+    def test_related_seen_topics_and_graph_edges(self, writes, seen, session):
+        table = SRTable(metric="w2v")
+        pairs = {}
+        for a, b, value in writes:
+            table.set(a, b, value)
+            if a != b:
+                pairs[frozenset((a, b))] = value
+
+        def relatedness(a, b):
+            return 1.0 if a == b else pairs.get(frozenset((a, b)), 0.0)
+
+        pool = range(13)
+        assert len(table) == len(pairs)
+        assert all(table.lookup(a, b) == relatedness(a, b) for a in pool for b in pool)
+        for target in pool:
+            for k in OMEGA_SIZES:
+                assert related_seen_topics(table, target, seen, k) == related_seen_brute(
+                    relatedness, target, seen, k
+                )
+        events = [
+            EngagementEvent("a", i, tuple((t, 0.5) for t in sorted(topics)), 1)
+            for i, topics in enumerate(session)
+        ]
+        graph = build_topic_graph(events, table)
+        topics = set().union(*session)
+        assert graph.nodes == frozenset(topics)
+        assert graph.edges == session_edges_brute(relatedness, topics)

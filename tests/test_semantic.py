@@ -39,6 +39,9 @@ class TestPropagationConfig:
             {"omega_size": 4},
             {"mixing_mode": "nope"},
             {"variance_source": "nope"},
+            {"omega_size": 1.0},
+            {"omega_size": 10.0},
+            {"omega_size": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
