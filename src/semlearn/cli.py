@@ -83,7 +83,7 @@ _common_options = _options(
     click.option("--seed", type=int, default=42, show_default=True),
     click.option("--train-fraction", type=float, default=0.7, show_default=True),
     click.option("--top-learners", type=int, default=None, help="Keep the N most active learners."),
-    click.option("--workers", type=int, default=1, show_default=True),
+    click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True),
 )
 
 

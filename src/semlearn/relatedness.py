@@ -11,12 +11,12 @@ immutable after load.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import networkx as nx
 
 from .data import DataError
 
@@ -132,11 +132,8 @@ def related_seen_topics(
     Ties break toward the lower topic id; ``k=None`` keeps all. The result
     defines the neighbor set used to propagate a prior onto ``target``.
     """
-    scored = [
-        (topic, rho)
-        for topic, rho in table.neighbours.get(target, {}).items()
-        if rho > 0.0 and topic in seen
-    ]
+    row = table.neighbours.get(target, {})
+    scored = [(topic, rho) for topic in row.keys() & seen if (rho := row[topic]) > 0.0]
     scored.sort(key=lambda tr: (-tr[1], tr[0]))
     if k is not None:
         return scored[:k]
@@ -175,14 +172,71 @@ def min_cut_set_size(graph: LearnerTopicGraph) -> int:
     """Vertex connectivity: minimum topics whose removal disconnects the graph.
 
     Disconnected or trivially small graphs report 0; complete graphs report
-    n - 1. Computed via the standard max-flow reduction.
+    n - 1. Esfahanian & Hakimi (1984): start from a minimum-degree vertex v
+    with k = deg(v), then lower k to the local connectivity between v and
+    each non-neighbour and between each non-adjacent pair of v's neighbours.
+    Each local connectivity is a unit-capacity max flow (Even 1975) on the
+    node-split graph, stopped once it reaches the current k.
     """
     n = len(graph.nodes)
     if n < 2:
         return 0
-    g = nx.Graph()
-    g.add_nodes_from(graph.nodes)
-    g.add_edges_from(graph.edges)
-    if not nx.is_connected(g):
+    index = {topic: i for i, topic in enumerate(graph.nodes)}
+    adjacent: list[set[int]] = [set() for _ in range(n)]
+    for a, b in graph.edges:
+        adjacent[index[a]].add(index[b])
+        adjacent[index[b]].add(index[a])
+    reached, stack = {0}, [0]
+    while stack:
+        for w in adjacent[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) < n:
         return 0
-    return int(nx.node_connectivity(g))
+    # Node u splits into in(u) = 2u and out(u) = 2u + 1: the arc in(u) -> out(u)
+    # carries u's unit capacity, and each edge {u, w} becomes out(u) -> in(w)
+    # and out(w) -> in(u).
+    template = []
+    for u in range(n):
+        template.append({2 * u + 1})
+        template.append({2 * w for w in adjacent[u]})
+    v = min(range(n), key=lambda u: len(adjacent[u]))
+    k = len(adjacent[v])
+    pairs = [(v, w) for w in range(n) if w != v and w not in adjacent[v]]
+    pairs += [
+        (x, y) for x, y in itertools.combinations(adjacent[v], 2) if y not in adjacent[x]
+    ]
+    for s, t in pairs:
+        k = min(k, _disjoint_paths(template, 2 * s + 1, 2 * t, k))
+    return k
+
+
+def _disjoint_paths(template: list[set[int]], source: int, sink: int, cutoff: int) -> int:
+    """Unit-capacity max flow from ``source`` to ``sink``, stopped at ``cutoff``.
+
+    ``template`` holds the out-arcs of the flow-free residual graph and is
+    never mutated: each augmentation along a BFS shortest path replaces the
+    arc sets it changes with new ones.
+    """
+    residual = template[:]
+    flow = 0
+    while flow < cutoff:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            x = queue.popleft()
+            for y in residual[x]:
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        if sink not in parent:
+            break
+        y = sink
+        while y != source:
+            x = parent[y]
+            residual[x] = residual[x] - {y}
+            residual[y] = residual[y] | {x}
+            y = x
+        flow += 1
+    return flow

@@ -82,6 +82,10 @@ class TestEvaluateCommand:
     def test_unknown_flag_is_usage_error(self, corpus):
         assert run(["evaluate", "--data", corpus["events"], "--bogus"]) == 1
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_is_usage_error_before_loading(self, tmp_path, workers):
+        assert run(["evaluate", "--data", tmp_path / "missing.csv", "--workers", workers]) == 1
+
     def test_config_file_applies(self, corpus, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"beta": 1.0, "draw_margin_eps": 0.6}))
@@ -188,6 +192,13 @@ class TestTuneCommand:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"beta": values}))
         assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid]) == 1
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_is_usage_error_before_loading(self, tmp_path, workers):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"beta": [1.0]}))
+        args = ["tune", "--data", tmp_path / "missing.csv", "--grid", grid, "--workers", workers]
+        assert run(args) == 1
 
     def test_load_grid_order(self, tmp_path):
         grid = tmp_path / "grid.json"
@@ -337,11 +348,20 @@ class TestValidateData:
         assert run(["evaluate", "--data", corpus["events"], "--top-topics", k]) == 1
 
 
-def test_cli_import_does_not_load_scipy_stats():
+def cli_import_loads(module):
+    """Whether ``import semlearn.cli`` in a fresh interpreter loads ``module``."""
     src = str(Path(semlearn.__file__).resolve().parents[1])
-    code = "import sys, semlearn.cli; sys.exit('scipy.stats' in sys.modules)"
+    code = f"import sys, semlearn.cli; sys.exit({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    assert not cli_import_loads("scipy.stats")
+
+
+def test_cli_import_does_not_load_networkx():
+    assert not cli_import_loads("networkx")
 
 
 class TestRunHelpers:

@@ -19,7 +19,12 @@ from semlearn.relatedness import (
 )
 from semlearn.semantic import OMEGA_SIZES
 
-from oracles import related_seen_brute, session_edges_brute, vertex_connectivity_brute
+from oracles import (
+    connected_brute,
+    related_seen_brute,
+    session_edges_brute,
+    vertex_connectivity_brute,
+)
 from synthetic import random_sr_table, write_sr_csv
 
 
@@ -248,6 +253,106 @@ class TestGraphAnalytics:
         k_base = min_cut_set_size(graph_from_edges(base, extra_nodes=nodes))
         k_more = min_cut_set_size(graph_from_edges(extra, extra_nodes=nodes))
         assert k_more >= k_base
+
+
+def cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def star(leaves):
+    return [(0, i) for i in range(1, leaves + 1)]
+
+
+def complete_on(nodes):
+    return list(itertools.combinations(nodes, 2))
+
+
+def cliques_sharing(shared, only_a, only_b):
+    """Cliques S+A and S+B over disjoint A, B that meet in the ``shared`` vertices S."""
+    s = list(range(shared))
+    a = list(range(shared, shared + only_a))
+    b = list(range(shared + only_a, shared + only_a + only_b))
+    return complete_on(s + a) + complete_on(s + b)
+
+
+def min_degree(edges):
+    degree = {}
+    for a, b in edges:
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    return min(degree.values())
+
+
+def relabelled(edges, seed):
+    """The same graph on scattered, shuffled topic ids."""
+    nodes = sorted({v for e in edges for v in e})
+    ids = random.Random(seed).sample(range(10_000), len(nodes))
+    label = dict(zip(nodes, ids))
+    return [(min(label[a], label[b]), max(label[a], label[b])) for a, b in edges]
+
+
+class TestVertexConnectivity:
+    """min_cut_set_size against brute force, planted families and networkx."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 10), data=st.data())
+    def test_matches_brute_force_up_to_ten_nodes(self, n, data):
+        nodes = list(range(n))
+        pairs = complete_on(nodes)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [pair for pair, kept in zip(pairs, keep) if kept]
+        want = vertex_connectivity_brute(nodes, edges) if connected_brute(nodes, edges) else 0
+        assert min_cut_set_size(graph_from_edges(edges, extra_nodes=nodes)) == want
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 40])
+    def test_cycle_is_two(self, n):
+        assert min_cut_set_size(graph_from_edges(relabelled(cycle(n), n))) == 2
+
+    @pytest.mark.parametrize("leaves", [1, 2, 5, 30])
+    def test_star_is_one(self, leaves):
+        assert min_cut_set_size(graph_from_edges(relabelled(star(leaves), leaves))) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 15])
+    def test_complete_graph_is_n_minus_one(self, n):
+        assert min_cut_set_size(graph_from_edges(relabelled(complete_on(range(n)), n))) == n - 1
+
+    @pytest.mark.parametrize(
+        "shared, only_a, only_b", [(1, 1, 1), (1, 4, 6), (2, 3, 3), (3, 5, 4), (5, 6, 8)]
+    )
+    def test_cliques_sharing_c_vertices_is_c(self, shared, only_a, only_b):
+        edges = cliques_sharing(shared, only_a, only_b)
+        assert min_cut_set_size(graph_from_edges(relabelled(edges, shared))) == shared
+
+    def test_min_degree_vertex_off_the_cut(self):
+        # Every A-only vertex has the minimum degree 3 + 3 - 1 = 5, and the
+        # only minimum cut is the 3 shared vertices, which it is not in.
+        edges = cliques_sharing(3, 3, 6)
+        assert min_degree(edges) == 5
+        assert min_cut_set_size(graph_from_edges(relabelled(edges, 7))) == 3
+
+    def test_min_degree_vertex_on_every_cut(self):
+        # Two K_6 joined by the edge a0-b0 and by v, which has degree 4, the
+        # minimum, and lies on every 2-vertex cut ({v, a0} and {v, b0}). Its
+        # local connectivity to any non-neighbour is 3, so only a pair of v's
+        # neighbours (a1 and b1: a1-v-b1 and a1-a0-b0-b1) brings k down to 2.
+        a, b, v = list(range(6)), list(range(6, 12)), 12
+        edges = complete_on(a) + complete_on(b) + [(a[0], b[0])]
+        edges += [(a[1], v), (a[2], v), (b[1], v), (b[2], v)]
+        assert min_degree(edges) == 4
+        assert min_cut_set_size(graph_from_edges(relabelled(edges, 8))) == 2
+
+    def test_matches_networkx_on_random_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2024)
+        for _ in range(30):
+            n = rng.randint(20, 80)
+            p = rng.uniform(0.03, 0.3)
+            edges = [pair for pair in complete_on(range(n)) if rng.random() < p]
+            g = nx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from(edges)
+            got = min_cut_set_size(graph_from_edges(edges, extra_nodes=range(n)))
+            assert got == nx.node_connectivity(g)
 
 
 class TestBuildTopicGraph:
