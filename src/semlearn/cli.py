@@ -52,6 +52,13 @@ def _build_configs(config_path, sr_metric, omega):
     return base_cfg, prop_cfg
 
 
+def _open_unit_interval(ctx, param, value):
+    """A float strictly between 0 and 1; NaN fails the comparison too."""
+    if not 0.0 < value < 1.0:
+        raise click.BadParameter(f"{value} is not in the open range (0, 1)")
+    return value
+
+
 def _options(*options):
     """Apply click options in the order listed."""
 
@@ -81,8 +88,8 @@ _common_options = _options(
     click.option("--omega", type=click.Choice(_OMEGA_CHOICES), default=None),
     click.option("--config", "config_path", default=None, help="JSON config file."),
     click.option("--seed", type=int, default=42, show_default=True),
-    click.option("--train-fraction", type=float, default=0.7, show_default=True),
-    click.option("--top-learners", type=int, default=None, help="Keep the N most active learners."),
+    click.option("--train-fraction", type=float, default=0.7, show_default=True, callback=_open_unit_interval),
+    click.option("--top-learners", type=click.IntRange(min=1), help="Keep the N most active learners."),
     click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True),
 )
 

@@ -12,9 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.special import stdtr
-
 from .data import ENGAGED, Dataset
 from .relatedness import SRTable, avg_connectedness, build_topic_graph, min_cut_set_size
 
@@ -32,6 +29,9 @@ SESSION_FEATURES = (
 # Exact permutation enumeration is n! work; past this it is not tractable
 # and the t-approximation is the only offered p-value.
 MAX_EXACT_PERMUTATION_N = 10
+
+# cephes' MACHEP: the series in _t_two_sided_p stops below this relative term.
+_MACHEP = 2.0**-53
 
 
 @dataclass
@@ -106,6 +106,11 @@ def paired_t_test_one_tailed(a: list[float], b: list[float]) -> tuple[float, flo
     n = len(a)
     if n < 2:
         raise ValueError("paired t-test needs at least 2 pairs")
+    # report.json keeps t and p in full, so they come from numpy and scipy,
+    # loaded here rather than by every command that imports this module.
+    import numpy as np
+    from scipy.special import stdtr
+
     diffs = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
     mean = float(diffs.mean())
     sd = float(diffs.std(ddof=1))
@@ -120,17 +125,63 @@ def paired_t_test_one_tailed(a: list[float], b: list[float]) -> tuple[float, flo
     return t, p
 
 
-def _average_ranks(values) -> np.ndarray:
+def _average_ranks(values) -> list[float]:
     """Ranks 1..n with ties given the mean of their ranks (scipy's rankdata)."""
-    x = np.asarray(values)
-    order = np.argsort(x, kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(len(x))
-    sorted_x = x[order]
-    starts = np.r_[True, sorted_x[1:] != sorted_x[:-1]]
-    dense = np.cumsum(starts)[inverse]
-    bounds = np.r_[np.flatnonzero(starts), len(x)]
-    return 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    below = 0
+    for _, group in itertools.groupby(order, key=values.__getitem__):
+        group = list(group)
+        rank = below + (len(group) + 1) / 2
+        for i in group:
+            ranks[i] = rank
+        below += len(group)
+    return ranks
+
+
+def _pearson(rx: list[float], ry: list[float]) -> float:
+    """Pearson correlation of two rank vectors; nan if either is constant.
+
+    Average ranks 1..n always have mean (n + 1) / 2, and their deviations
+    from it are multiples of 1/2, so the three sums are exact for n up to
+    about 10^5.
+    """
+    mid = (len(rx) + 1) / 2
+    dx = [r - mid for r in rx]
+    dy = [r - mid for r in ry]
+    vx = sum(d * d for d in dx)
+    vy = sum(d * d for d in dy)
+    if vx == 0.0 or vy == 0.0:
+        return math.nan
+    return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(vx * vy)
+
+
+def _t_two_sided_p(t: float, df: int) -> float:
+    """Two-sided p-value of Student's t statistic with integer ``df``.
+
+    1 - A(|t|, df), where A is the probability that |T| <= |t|, from the
+    finite series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even
+    df), summed until a term drops below machine epsilon as cephes' stdtr
+    does. Absolute error is about 1e-14; it loses relative accuracy far in
+    the tail, where p is anyway far below any significance level.
+    """
+    x = abs(t)
+    z = 1.0 + x * x / df
+    f = term = 1.0
+    j = 3 if df & 1 else 2
+    while j <= df - 2 and term / f > _MACHEP:
+        term *= (j - 1) / (z * j)
+        f += term
+        j += 2
+    if df & 1:
+        x_scaled = x / math.sqrt(df)
+        a = math.atan(x_scaled)
+        if df > 1:
+            a += f * x_scaled / z
+        a *= 2.0 / math.pi
+    else:
+        a = f * x / math.sqrt(z * df)
+    return max(1.0 - a, 0.0)
 
 
 def srocc(x: list[float], y: list[float]) -> tuple[float, float]:
@@ -144,16 +195,13 @@ def srocc(x: list[float], y: list[float]) -> tuple[float, float]:
     n = len(x)
     if n < 3:
         raise ValueError("srocc needs at least 3 observations")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    if np.all(rx == rx[0]) or np.all(ry == ry[0]):
+    rho = _pearson(_average_ranks(x), _average_ranks(y))
+    if math.isnan(rho):
         return math.nan, math.nan
-    rho = float(np.corrcoef(rx, ry)[0, 1])
     if abs(rho) >= 1.0:
         return max(min(rho, 1.0), -1.0), 0.0
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return rho, p
+    return rho, _t_two_sided_p(t, n - 2)
 
 
 def srocc_exact_permutation(x: list[float], y: list[float]) -> tuple[float, float]:
@@ -176,10 +224,9 @@ def srocc_exact_permutation(x: list[float], y: list[float]) -> tuple[float, floa
     threshold = abs(rho_obs) - 1e-12
     hits = 0
     total = 0
-    for perm in itertools.permutations(range(n)):
+    for perm in itertools.permutations(ry):
         total += 1
-        rho_p = float(np.corrcoef(rx, ry[list(perm)])[0, 1])
-        if abs(rho_p) >= threshold:
+        if abs(_pearson(rx, list(perm))) >= threshold:
             hits += 1
     return rho_obs, hits / total
 

@@ -17,9 +17,8 @@ Posterior of the standardized variable: mean ``t + v``, variance ``1 - w``.
 
 from __future__ import annotations
 
+import functools
 import math
-
-from scipy.special import erfcx, ndtr
 
 __all__ = [
     "Gaussian1D",
@@ -32,6 +31,20 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on first use.
+
+    Only replays evaluate ndtr and erfcx, so commands that never replay a
+    learner do not pay for importing scipy; the cache keeps the per-event
+    cost of reaching it to one call.
+    """
+    import scipy.special
+
+    return scipy.special
+
 
 # Below this much probability mass the truncated posterior is numerically a
 # point mass at the nearest interval endpoint; we return the saturated
@@ -146,6 +159,7 @@ def truncated_moments_within(t: float, eps: float) -> tuple[float, float]:
     beta = eps - ta
     if math.isinf(eps):
         return 0.0, 0.0
+    ndtr = _special().ndtr
     mass = float(ndtr(beta) - ndtr(alpha))
     if mass < _MASS_FLOOR:
         return sign * (eps - ta), 1.0
@@ -173,7 +187,7 @@ def truncated_moments_above(t: float, eps: float) -> tuple[float, float]:
     # erfcx(alpha/sqrt(2)) = exp(alpha^2/2) * 2 * (1 - Phi(alpha)), so the
     # hazard ratio phi(alpha)/(1 - Phi(alpha)) = sqrt(2/pi) / erfcx(...)
     # without ever forming an underflowing tail probability.
-    denom = float(erfcx(alpha / _SQRT2))
+    denom = float(_special().erfcx(alpha / _SQRT2))
     if math.isinf(denom):
         # Truncation numerically inactive (t far above eps).
         return 0.0, 0.0

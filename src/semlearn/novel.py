@@ -22,10 +22,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
-from scipy.special import ndtr
-
 from .data import ENGAGED, NOT_ENGAGED, EngagementEvent, LearnerModel
-from .gaussians import Gaussian1D, truncated_moments_above, truncated_moments_within
+from .gaussians import Gaussian1D, _special, truncated_moments_above, truncated_moments_within
 
 Propagator = Callable[[LearnerModel, EngagementEvent], None]
 
@@ -112,6 +110,7 @@ def _engagement(mean_d: float, var_d: float, cfg: ModelConfig) -> tuple[float, i
         p_engage = 1.0
     else:
         scale = math.sqrt(var_d)
+        ndtr = _special().ndtr
         p_engage = float(
             ndtr((cfg.draw_margin_eps - mean_d) / scale)
             - ndtr((-cfg.draw_margin_eps - mean_d) / scale)

@@ -14,7 +14,6 @@ import csv
 import itertools
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,11 +132,9 @@ def related_seen_topics(
     defines the neighbor set used to propagate a prior onto ``target``.
     """
     row = table.neighbours.get(target, {})
-    scored = [(topic, rho) for topic in row.keys() & seen if (rho := row[topic]) > 0.0]
-    scored.sort(key=lambda tr: (-tr[1], tr[0]))
-    if k is not None:
-        return scored[:k]
-    return scored
+    # (-rho, topic) tuples sort strongest first, ties toward the lower id.
+    ranked = sorted((-rho, topic) for topic in row.keys() & seen if (rho := row[topic]) > 0.0)
+    return [(topic, -neg_rho) for neg_rho, topic in ranked[:k]]
 
 
 @dataclass(frozen=True)
@@ -151,11 +148,13 @@ class LearnerTopicGraph:
 def build_topic_graph(events, table: SRTable) -> LearnerTopicGraph:
     """Build a session's topic graph from its events."""
     topics = {t for ev in events for t in ev.topic_ids()}
+    rows = table.neighbours
     edges = frozenset(
         (a, b)
         for a in topics
-        for b, rho in table.neighbours.get(a, {}).items()
-        if a < b and rho > 0.0 and b in topics
+        if a in rows
+        for b in rows[a].keys() & topics
+        if a < b and rows[a][b] > 0.0
     )
     return LearnerTopicGraph(nodes=frozenset(topics), edges=edges)
 
@@ -196,11 +195,11 @@ def min_cut_set_size(graph: LearnerTopicGraph) -> int:
         return 0
     # Node u splits into in(u) = 2u and out(u) = 2u + 1: the arc in(u) -> out(u)
     # carries u's unit capacity, and each edge {u, w} becomes out(u) -> in(w)
-    # and out(w) -> in(u).
-    template = []
+    # and out(w) -> in(u). Arc sets are kept per node in both directions.
+    out_arcs, in_arcs = [], []
     for u in range(n):
-        template.append({2 * u + 1})
-        template.append({2 * w for w in adjacent[u]})
+        out_arcs += ({2 * u + 1}, {2 * w for w in adjacent[u]})
+        in_arcs += ({2 * w + 1 for w in adjacent[u]}, {2 * u})
     v = min(range(n), key=lambda u: len(adjacent[u]))
     k = len(adjacent[v])
     pairs = [(v, w) for w in range(n) if w != v and w not in adjacent[v]]
@@ -208,35 +207,63 @@ def min_cut_set_size(graph: LearnerTopicGraph) -> int:
         (x, y) for x, y in itertools.combinations(adjacent[v], 2) if y not in adjacent[x]
     ]
     for s, t in pairs:
-        k = min(k, _disjoint_paths(template, 2 * s + 1, 2 * t, k))
+        k = min(k, _disjoint_paths(out_arcs, in_arcs, 2 * s + 1, 2 * t, k))
     return k
 
 
-def _disjoint_paths(template: list[set[int]], source: int, sink: int, cutoff: int) -> int:
+def _disjoint_paths(
+    out_arcs: list[set[int]], in_arcs: list[set[int]], source: int, sink: int, cutoff: int
+) -> int:
     """Unit-capacity max flow from ``source`` to ``sink``, stopped at ``cutoff``.
 
-    ``template`` holds the out-arcs of the flow-free residual graph and is
-    never mutated: each augmentation along a BFS shortest path replaces the
-    arc sets it changes with new ones.
+    ``out_arcs`` and ``in_arcs`` hold the flow-free residual graph from both
+    ends and are never mutated: each augmentation replaces the arc sets it
+    changes with new ones. Each augmenting path comes from a breadth-first
+    search grown from the source over out-arcs and from the sink over
+    in-arcs, a level at a time on the smaller frontier, until the two meet.
     """
-    residual = template[:]
+    out_res, in_res = out_arcs[:], in_arcs[:]
     flow = 0
     while flow < cutoff:
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            x = queue.popleft()
-            for y in residual[x]:
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        if sink not in parent:
+        before = {source: source}  # node -> its predecessor on a path from source
+        after = {sink: sink}  # node -> its successor on a path to sink
+        front, back = [source], [sink]
+        meet = None
+        while meet is None and front and back:
+            if len(front) <= len(back):
+                front, meet = _expand(front, out_res, before, after)
+            else:
+                back, meet = _expand(back, in_res, after, before)
+        if meet is None:
             break
-        y = sink
-        while y != source:
-            x = parent[y]
-            residual[x] = residual[x] - {y}
-            residual[y] = residual[y] | {x}
-            y = x
+        path = [meet]
+        while path[-1] != source:
+            path.append(before[path[-1]])
+        path.reverse()
+        while path[-1] != sink:
+            path.append(after[path[-1]])
+        for x, y in zip(path, path[1:]):
+            out_res[x] = out_res[x] - {y}
+            out_res[y] = out_res[y] | {x}
+            in_res[y] = in_res[y] - {x}
+            in_res[x] = in_res[x] | {y}
         flow += 1
     return flow
+
+
+def _expand(
+    frontier: list[int], arcs: list[set[int]], reached: dict[int, int], other: dict[int, int]
+) -> tuple[list[int], int | None]:
+    """Grow one search a level over ``arcs``; stop at a node the other one reached.
+
+    Returns the next frontier and the meeting node, or None.
+    """
+    level = []
+    for x in frontier:
+        for y in arcs[x]:
+            if y not in reached:
+                reached[y] = x
+                if y in other:
+                    return level, y
+                level.append(y)
+    return level, None

@@ -32,6 +32,7 @@ from .evaluation import (
     session_feature_srocc,
     score_learner,
 )
+from .gaussians import _special
 from .novel import ModelConfig, replay_session
 from .relatedness import SRTable, load_sr_table
 from .semantic import PropagationConfig, SemanticPropagator
@@ -177,6 +178,9 @@ def replay_cohort(
     worker count.
     """
     items = [(lid, dataset.learners[lid]) for lid in sorted(learner_ids)]
+    # Import scipy.special here, before any worker forks: workers inherit it
+    # instead of each importing it again, and no replayed event pays for it.
+    _special()
     if workers <= 1:
         replayer = _build_replayer(model_id, base_cfg, table, prop_cfg)
         return {lid: replayer(events) for lid, events in items}

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 from .data import EngagementEvent, LearnerModel
 from .gaussians import Gaussian1D
@@ -76,16 +75,6 @@ class PropagationConfig:
         return cls(**values)
 
 
-def _mixing_weights(
-    neighbors: Sequence[tuple[int, float]], model: LearnerModel, mode: str
-) -> list[float]:
-    if mode == MIX_SEMANTIC_RELATEDNESS:
-        return [rho for _, rho in neighbors]
-    inv_se = [1.0 / math.sqrt(model.skills[topic].variance) for topic, _ in neighbors]
-    total = sum(inv_se)
-    return [x / total for x in inv_se]
-
-
 def propagate_prior(
     model: LearnerModel,
     target: int,
@@ -101,18 +90,24 @@ def propagate_prior(
     neighbors = related_seen_topics(table, target, model.topics_seen, cfg.omega_size)
     if not neighbors:
         return Gaussian1D(0.0, default_variance)
-    weights = _mixing_weights(neighbors, model, cfg.mixing_mode)
+    skills = model.skills
+    # Pairs of (topic, mixing weight): the relatedness itself, unless weights
+    # are inverse standard errors normalized to sum to 1.
+    if cfg.mixing_mode == MIX_INVERSE_STANDARD_ERROR:
+        inv_se = [1.0 / math.sqrt(1.0 / skills[topic].precision) for topic, _ in neighbors]
+        total = sum(inv_se)
+        neighbors = [(topic, x / total) for (topic, _), x in zip(neighbors, inv_se)]
+    from_source = cfg.variance_source == VARIANCE_FROM_SOURCE
     inv_size = 1.0 / len(neighbors)
     mean = 0.0
     variance = 0.0
-    for (topic, _), weight in zip(neighbors, weights):
+    # Seen skills are proper beliefs, so their mean and variance are read
+    # from the natural parameters exactly as Gaussian1D's properties do.
+    for topic, weight in neighbors:
         coeff = inv_size * weight
-        source = model.skills[topic]
-        mean += coeff * source.mean
-        source_var = (
-            source.variance if cfg.variance_source == VARIANCE_FROM_SOURCE else default_variance
-        )
-        variance += coeff * coeff * source_var
+        source = skills[topic]
+        mean += coeff * (source.precision_mean / source.precision)
+        variance += coeff * coeff * (1.0 / source.precision if from_source else default_variance)
     if variance == 0.0:
         # Relatedness so small the combination underflowed; nothing usable
         # propagates, keep the default prior.

@@ -200,6 +200,27 @@ def vertex_connectivity_brute(nodes, edges) -> int:
     return n - 1
 
 
+def local_connectivity_brute(nodes, edges, s, t) -> int:
+    """Fewest vertices other than s and t whose removal separates s from t.
+
+    Assumes s and t are not adjacent (Menger: the most vertex-disjoint s-t paths).
+    """
+    others = [v for v in sorted(nodes) if v not in (s, t)]
+    for k in range(len(others) + 1):
+        for removed in itertools.combinations(others, k):
+            reached, stack = {s}, [s]
+            while stack:
+                v = stack.pop()
+                for a, b in edges:
+                    w = b if a == v else a if b == v else None
+                    if w is not None and w not in reached and w not in removed:
+                        reached.add(w)
+                        stack.append(w)
+            if t not in reached:
+                return k
+    raise ValueError("s and t are adjacent")
+
+
 def related_seen_brute(relatedness, target, seen, k=None) -> list[tuple[int, float]]:
     """Scan every seen topic, keep relatedness > 0, strongest first, ties to the lower id."""
     scored = [(t, rho) for t in seen if t != target and (rho := relatedness(target, t)) > 0.0]

@@ -38,6 +38,17 @@ def run(args):
     return main([str(a) for a in args])
 
 
+# Refused by the option parser, before the event file (missing here) is read.
+BAD_SPLIT_OPTIONS = [
+    ("--top-learners", "0"),
+    ("--top-learners", "-3"),
+    ("--train-fraction", "0"),
+    ("--train-fraction", "1"),
+    ("--train-fraction", "1.5"),
+    ("--train-fraction", "nan"),
+]
+
+
 class TestEvaluateCommand:
     def test_baseline_smoke(self, corpus, tmp_path):
         out = tmp_path / "base"
@@ -85,6 +96,10 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_is_usage_error_before_loading(self, tmp_path, workers):
         assert run(["evaluate", "--data", tmp_path / "missing.csv", "--workers", workers]) == 1
+
+    @pytest.mark.parametrize("option,value", BAD_SPLIT_OPTIONS)
+    def test_bad_split_option_is_usage_error_before_loading(self, tmp_path, option, value):
+        assert run(["evaluate", "--data", tmp_path / "missing.csv", option, value]) == 1
 
     def test_config_file_applies(self, corpus, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -198,6 +213,13 @@ class TestTuneCommand:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"beta": [1.0]}))
         args = ["tune", "--data", tmp_path / "missing.csv", "--grid", grid, "--workers", workers]
+        assert run(args) == 1
+
+    @pytest.mark.parametrize("option,value", BAD_SPLIT_OPTIONS)
+    def test_bad_split_option_is_usage_error_before_loading(self, tmp_path, option, value):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"beta": [1.0]}))
+        args = ["tune", "--data", tmp_path / "missing.csv", "--grid", grid, option, value]
         assert run(args) == 1
 
     def test_load_grid_order(self, tmp_path):
@@ -348,20 +370,56 @@ class TestValidateData:
         assert run(["evaluate", "--data", corpus["events"], "--top-topics", k]) == 1
 
 
-def cli_import_loads(module):
-    """Whether ``import semlearn.cli`` in a fresh interpreter loads ``module``."""
+def modules_loaded_by(code):
+    """The modules in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
     src = str(Path(semlearn.__file__).resolve().parents[1])
-    code = f"import sys, semlearn.cli; sys.exit({module!r} in sys.modules)"
+    script = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return set(out.splitlines()[-1].split())
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    assert not cli_import_loads("scipy.stats")
+    assert "scipy.stats" not in modules_loaded_by("import semlearn.cli")
 
 
 def test_cli_import_does_not_load_networkx():
-    assert not cli_import_loads("networkx")
+    assert "networkx" not in modules_loaded_by("import semlearn.cli")
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    loaded = modules_loaded_by("import semlearn.cli")
+    assert "numpy" not in loaded and "scipy" not in loaded
+
+
+def test_analyze_and_validate_data_load_neither_numpy_nor_scipy(corpus, tmp_path):
+    base_out = tmp_path / "base"
+    assert run(["evaluate", "--data", corpus["events"], "--out-dir", base_out]) == 0
+    commands = [
+        ["analyze", base_out / "report.json", "--data", corpus["events"],
+         "--sr-table", corpus["sr"], "--out-dir", tmp_path / "analysis"],
+        ["validate-data", "--data", corpus["events"], "--sr-table", corpus["sr"]],
+    ]
+    for args in commands:
+        loaded = modules_loaded_by(
+            f"from semlearn.cli import main\nassert main({[str(a) for a in args]!r}) == 0"
+        )
+        assert "numpy" not in loaded and "scipy" not in loaded, args[0]
+    assert (tmp_path / "analysis" / "srocc.csv").exists()
+
+
+def test_pool_parent_loads_scipy_before_forking(corpus):
+    # The workers fork from the parent and inherit scipy.special from it
+    # instead of each importing it again.
+    loaded = modules_loaded_by(
+        "from semlearn.data import load_events\n"
+        "from semlearn.novel import ModelConfig\n"
+        "from semlearn.runs import replay_cohort\n"
+        f"ds = load_events({str(corpus['events'])!r})\n"
+        "replay_cohort(ds, ds.learner_ids()[:4], 'truelearn-novel', ModelConfig(), workers=2)"
+    )
+    assert "scipy.special" in loaded
 
 
 class TestRunHelpers:

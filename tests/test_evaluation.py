@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semlearn.data import Dataset, DataError, EngagementEvent, save_events
 from semlearn.evaluation import (
@@ -20,6 +22,7 @@ from semlearn.evaluation import (
     srocc,
     srocc_exact_permutation,
 )
+from semlearn.evaluation import _t_two_sided_p
 from semlearn.relatedness import SRTable, zero_table
 from semlearn.runs import analyze_run
 
@@ -173,6 +176,35 @@ class TestSrocc:
     def test_exact_permutation_caps_n(self):
         with pytest.raises(ValueError):
             srocc_exact_permutation(list(range(11)), list(range(11)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=60).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                st.lists(st.integers(0, 9), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_matches_scipy_spearmanr_with_ties(self, xy):
+        stats = pytest.importorskip("scipy.stats")
+        x, y = xy
+        rho, p = srocc(x, y)
+        if len(set(x)) == 1 or len(set(y)) == 1:
+            assert math.isnan(rho) and math.isnan(p)
+            return
+        ref = stats.spearmanr(x, y)
+        assert rho == pytest.approx(ref.statistic, abs=1e-12)
+        if abs(rho) < 1.0:
+            assert p == pytest.approx(ref.pvalue, abs=1e-12)
+
+    def test_t_series_matches_stdtr(self):
+        special = pytest.importorskip("scipy.special")
+        rng = random.Random(47)
+        for df in range(1, 1001):
+            for t in (0.0, 0.01, 0.5, 1.0, 2.0, 10.0, 50.0, rng.uniform(-50.0, 50.0)):
+                expected = 2.0 * float(special.stdtr(df, -abs(t)))
+                assert _t_two_sided_p(t, df) == pytest.approx(expected, abs=1e-13)
 
 
 class TestRecallByEventIndex:

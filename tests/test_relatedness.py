@@ -17,10 +17,12 @@ from semlearn.relatedness import (
     related_seen_topics,
     zero_table,
 )
+from semlearn.relatedness import _disjoint_paths
 from semlearn.semantic import OMEGA_SIZES
 
 from oracles import (
     connected_brute,
+    local_connectivity_brute,
     related_seen_brute,
     session_edges_brute,
     vertex_connectivity_brute,
@@ -303,6 +305,29 @@ class TestVertexConnectivity:
         edges = [pair for pair, kept in zip(pairs, keep) if kept]
         want = vertex_connectivity_brute(nodes, edges) if connected_brute(nodes, edges) else 0
         assert min_cut_set_size(graph_from_edges(edges, extra_nodes=nodes)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 9), data=st.data())
+    def test_local_flow_matches_brute_force(self, n, data):
+        # Every local connectivity, not only the minimum that κ keeps: a
+        # search that misreads the residual graph can miss the minimum pair.
+        pairs = complete_on(range(n))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [pair for pair, kept in zip(pairs, keep) if kept]
+        adjacent = [set() for _ in range(n)]
+        for a, b in edges:
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+        # The node-split graph: in(u) = 2u -> out(u) = 2u + 1, out(u) -> in(w).
+        out_arcs, in_arcs = [], []
+        for u in range(n):
+            out_arcs += ({2 * u + 1}, {2 * w for w in adjacent[u]})
+            in_arcs += ({2 * w + 1 for w in adjacent[u]}, {2 * u})
+        cutoff = data.draw(st.integers(0, n))
+        for s, t in itertools.permutations(range(n), 2):
+            if t not in adjacent[s]:
+                want = min(local_connectivity_brute(range(n), edges, s, t), cutoff)
+                assert _disjoint_paths(out_arcs, in_arcs, 2 * s + 1, 2 * t, cutoff) == want
 
     @pytest.mark.parametrize("n", [3, 4, 5, 12, 40])
     def test_cycle_is_two(self, n):
