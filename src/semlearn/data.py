@@ -31,6 +31,18 @@ class DataError(Exception):
     """Unrecoverable problem with an input file (missing, duplicate keys, bad schema)."""
 
 
+class _ParsedCells(dict):
+    """Each distinct cell's parse, computed on its first lookup and shared after."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, cell):
+        parsed = self[cell] = self.parse(cell)
+        return parsed
+
+
 @dataclass(frozen=True)
 class EngagementEvent:
     """One learner/resource-fragment interaction."""
@@ -109,14 +121,14 @@ class Dataset:
         return sorted(l for l, s in self.split.items() if s == "test")
 
 
-def _parse_topics_field(raw: str) -> list[tuple[int, float]]:
+def _parse_topics_field(raw: str, ids: dict) -> list[tuple[int, float]]:
     pairs = []
     for chunk in raw.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         topic_str, _, depth_str = chunk.partition(":")
-        pairs.append((int(topic_str), float(depth_str)))
+        pairs.append((ids[topic_str], float(depth_str)))
     return pairs
 
 
@@ -171,11 +183,11 @@ def _iter_csv_rows(path: Path):
             yield line_no, row
 
 
-def _row_from_csv(row: list[str]) -> tuple[str, int, int, list[tuple[int, float]]]:
+def _row_from_csv(row: list[str], ids: dict) -> tuple[str, int, int, list[tuple[int, float]]]:
     if len(row) != 4:
         raise ValueError(f"expected 4 columns, got {len(row)}")
-    learner_id, order_str, label_str, topics_str = row
-    return learner_id, int(order_str), _parse_label(label_str), _parse_topics_field(topics_str)
+    learner_id, order_str, label_str, topics = row
+    return learner_id, int(order_str), _parse_label(label_str), _parse_topics_field(topics, ids)
 
 
 def _iter_jsonl_rows(path: Path):
@@ -185,9 +197,10 @@ def _iter_jsonl_rows(path: Path):
                 yield line_no, line
 
 
-def _row_from_jsonl(line: str) -> tuple[str, int, int, list[tuple[int, float]]]:
+def _row_from_jsonl(line: str, ids: dict) -> tuple[str, int, int, list[tuple[int, float]]]:
     obj = json.loads(line)
-    topics = [(int(t), float(d)) for t, d in obj["topics"]]
+    # json parsed the cells (one may be a list, no dict key): ids shares one int per id.
+    topics = [(ids[int(t)], float(d)) for t, d in obj["topics"]]
     return str(obj["learner_id"]), int(obj["order_index"]), _parse_label(obj["label"]), topics
 
 
@@ -212,12 +225,14 @@ def load_events(path, fmt: str = "auto", top_topics: int | None = None) -> Datas
         raise ValueError(f"unknown event format {fmt!r}")
 
     report = IngestReport()
+    # One parse and one int object per distinct topic-id cell.
+    ids = _ParsedCells(int)
     learners: dict[str, list[EngagementEvent]] = {}
     seen_keys: set[tuple[str, int]] = set()
     for line_no, raw in rows:
         report.rows_read += 1
         try:
-            learner_id, order_index, label, pairs = parse(raw)
+            learner_id, order_index, label, pairs = parse(raw, ids)
             if order_index < 0:
                 raise ValueError(f"order_index must be >= 0, got {order_index}")
             topics = _normalize_topics(pairs, report, top_topics)

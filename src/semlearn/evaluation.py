@@ -84,14 +84,16 @@ def aggregate(scores: list[LearnerScore]) -> tuple[float, float, float]:
     """
     if not scores:
         raise ValueError("aggregate needs at least one learner score")
-    # Summation in canonical learner order so the result is invariant to
-    # the order scores arrive in (float addition is not associative).
-    ordered = sorted(scores, key=lambda s: s.learner_id)
-    total = sum(s.n_events for s in ordered)
-    precision = sum(s.precision * s.n_events for s in ordered) / total
-    recall = sum(s.recall * s.n_events for s in ordered) / total
-    f1 = sum(s.f1 * s.n_events for s in ordered) / total
-    return precision, recall, f1
+    # Left-to-right sums in canonical learner order: the same bits whatever the
+    # scores' order, and on every Python (sum() compensates since CPython 3.12).
+    total = 0
+    precision = recall = f1 = 0.0
+    for s in sorted(scores, key=lambda s: s.learner_id):
+        total += s.n_events
+        precision += s.precision * s.n_events
+        recall += s.recall * s.n_events
+        f1 += s.f1 * s.n_events
+    return precision / total, recall / total, f1 / total
 
 
 def paired_t_test_one_tailed(a: list[float], b: list[float]) -> tuple[float, float]:
@@ -242,12 +244,13 @@ def recall_by_event_index(traces: dict[str, Trace], max_n: int) -> list[tuple[in
     series: list[tuple[int, float]] = []
     ordered = [traces[k] for k in sorted(traces)]
     for n in range(1, max_n + 1):
-        recalls = [
-            precision_recall_f1(trace[:n])[1] for trace in ordered if len(trace) >= n
-        ]
+        recalls = [precision_recall_f1(trace[:n])[1] for trace in ordered if len(trace) >= n]
         if not recalls:
             break
-        series.append((n, sum(recalls) / len(recalls)))
+        total = 0.0
+        for recall in recalls:  # not sum(): see aggregate
+            total += recall
+        series.append((n, total / len(recalls)))
     return series
 
 

@@ -88,8 +88,7 @@ def _read_skills(
     Unseen topics read the N(0, beta) prior, with its variance round-tripped
     through the precision exactly as a stored Gaussian1D would give it.
     """
-    prior = Gaussian1D(0.0, cfg.beta)
-    skills = [model.skills.get(topic_id, prior) for topic_id, _ in event.topics]
+    skills = [model.skills.get(t) or Gaussian1D(0.0, cfg.beta) for t, _ in event.topics]
     depths = [depth for _, depth in event.topics]
     return depths, [s.mean for s in skills], [s.variance for s in skills]
 
@@ -97,11 +96,13 @@ def _read_skills(
 def _difference_moments(
     depths: list[float], means: list[float], variances: list[float], cfg: ModelConfig
 ) -> tuple[float, float]:
-    """Mean and variance of the performance difference D."""
-    sum_d_sq = sum(d * d for d in depths)
-    mean_d = sum(d * (m - cfg.depth_skill_level) for d, m in zip(depths, means))
-    var_d = sum(d * d * v for d, v in zip(depths, variances)) + 2.0 * cfg.beta_perf * sum_d_sq
-    return mean_d, var_d
+    """Mean and variance of D, summed in a loop: sum() rounds differently since Python 3.12."""
+    sum_d_sq = mean_d = var_skills = 0.0
+    for d, m, v in zip(depths, means, variances):
+        sum_d_sq += d * d
+        mean_d += d * (m - cfg.depth_skill_level)
+        var_skills += d * d * v
+    return mean_d, var_skills + 2.0 * cfg.beta_perf * sum_d_sq
 
 
 def _engagement(mean_d: float, var_d: float, cfg: ModelConfig) -> tuple[float, int]:
@@ -170,7 +171,8 @@ def update(
             new_mean = mu + d * var * v / scale
             new_var = var * (1.0 - w * d * d * var / var_d)
             model.skills[topic_id] = Gaussian1D(new_mean, new_var)
-    model.topics_seen.update(event.topic_ids())
+    for topic_id, _ in event.topics:
+        model.topics_seen.add(topic_id)
     model.events_seen += 1
     return outputs
 

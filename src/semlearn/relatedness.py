@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import itertools
+from collections import defaultdict
 import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import DataError
+from .data import DataError, _ParsedCells
 
 log = logging.getLogger(__name__)
 
@@ -80,29 +81,32 @@ def load_sr_table(path, metric: str) -> SRTable:
         if header[:2] != ["topic_a", "topic_b"]:
             raise DataError(f"{path}: SR header must start with topic_a,topic_b")
         long_format = header[2:] == ["metric", "value"]
+        # One parse per distinct id or metric cell, and one int object per id.
+        ids = _ParsedCells(int)
+        metric_cells = _ParsedCells(lambda cell: cell.strip().lower())
         if long_format:
-            col, available = 3, set()
+            # A long file provides its metric cells, normalised (a live view).
+            col, available = 3, metric_cells.values()
         elif metric in header[2:]:
             col, available = header.index(metric, 2), header[2:]
         else:
             raise DataError(
                 f"{path}: metric {metric!r} not present; available: {', '.join(header[2:])}"
             )
+        rows = defaultdict(dict)
         written = clamped = 0
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                a, b = int(row[0]), int(row[1])
+                a, b = ids[row[0]], ids[row[1]]
                 if long_format:
-                    row_metric = row[2].strip().lower()
+                    row_metric = metric_cells[row[2]]
                 value = float(row[col])
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}:{line_no}: bad SR row: {exc}") from exc
-            if long_format:
-                available.add(row_metric)
-                if row_metric != metric:
-                    continue
+            if long_format and row_metric != metric:
+                continue
             if not 0.0 <= value <= 1.0:
                 if not math.isfinite(value):
                     raise DataError(f"{path}:{line_no}: relatedness must be finite, got {value}")
@@ -110,11 +114,12 @@ def load_sr_table(path, metric: str) -> SRTable:
                 clamped += 1
             if a != b:
                 written += 1
-                table.set(a, b, value)
+                rows[a][b] = value
+                rows[b][a] = value
     if metric not in available:
-        raise DataError(
-            f"{path}: metric {metric!r} not present; available: {', '.join(sorted(available))}"
-        )
+        available = ", ".join(sorted(set(available)))
+        raise DataError(f"{path}: metric {metric!r} not present; available: {available}")
+    table.neighbours = dict(rows)
     # Every written pair is new or overwrites an earlier one.
     if written > len(table):
         log.warning("%s: %d duplicate pair(s), last value kept", path, written - len(table))

@@ -14,7 +14,6 @@ import itertools
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -161,6 +160,16 @@ def _init_worker(model_id, base_cfg, table, prop_cfg):
 def _replay_one(item):
     learner_id, events = item
     return learner_id, _WORKER_REPLAYER(events)
+
+
+def ProcessPoolExecutor(**kwargs):
+    """concurrent.futures' process pool, imported only where one starts (about 15 ms).
+
+    It stays a module attribute under the class's name, so a profiler can wrap it.
+    """
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(**kwargs)
 
 
 def replay_cohort(

@@ -95,7 +95,9 @@ def propagate_prior(
     # are inverse standard errors normalized to sum to 1.
     if cfg.mixing_mode == MIX_INVERSE_STANDARD_ERROR:
         inv_se = [1.0 / math.sqrt(1.0 / skills[topic].precision) for topic, _ in neighbors]
-        total = sum(inv_se)
+        total = 0.0
+        for x in inv_se:  # a plain loop: sum() rounds differently since CPython 3.12
+            total += x
         neighbors = [(topic, x / total) for (topic, _), x in zip(neighbors, inv_se)]
     from_source = cfg.variance_source == VARIANCE_FROM_SOURCE
     inv_size = 1.0 / len(neighbors)
@@ -128,7 +130,7 @@ class SemanticPropagator:
         self.base_cfg = base_cfg
 
     def __call__(self, model: LearnerModel, event: EngagementEvent) -> None:
-        for topic_id in event.topic_ids():
+        for topic_id, _ in event.topics:
             if topic_id in model.topics_seen:
                 continue
             model.skills[topic_id] = propagate_prior(

@@ -8,7 +8,9 @@ from exhaustive subset removal.
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
 import math
 
 import numpy as np
@@ -231,3 +233,77 @@ def related_seen_brute(relatedness, target, seen, k=None) -> list[tuple[int, flo
 def session_edges_brute(relatedness, topics) -> set[tuple[int, int]]:
     """Every pair (low, high) of session topics whose relatedness is > 0."""
     return {(a, b) for a, b in itertools.combinations(sorted(topics), 2) if relatedness(a, b) > 0.0}
+
+
+def sr_rows_reference(path, metric: str):
+    """Neighbour rows, duplicate count, clamp count and the metrics an SR file holds.
+
+    csv, then ``int``/``float`` per cell, in the loader's order (ids, metric
+    cell, value), then ``setdefault`` into both rows. A bad cell raises the
+    exception ``int``/``float`` or indexing raises, with its line number as
+    ``(line_no, exc)``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = list(csv.reader(fh))
+    header = [h.strip().lower() for h in lines[0]]
+    long_format = header[2:] == ["metric", "value"]
+    col = 3 if long_format else header.index(metric, 2)
+    available = set() if long_format else set(header[2:])
+    rows: dict[int, dict[int, float]] = {}
+    written = clamped = 0
+    for line_no, cells in enumerate(lines[1:], start=2):
+        if not cells:
+            continue
+        try:
+            a = int(cells[0])
+            b = int(cells[1])
+            row_metric = cells[2].strip().lower() if long_format else metric
+            value = float(cells[col])
+        except (ValueError, IndexError) as exc:
+            raise ValueError(line_no, exc) from exc
+        available.add(row_metric)
+        if row_metric != metric:
+            continue
+        if value < 0.0 or value > 1.0:
+            value = min(max(value, 0.0), 1.0)
+            clamped += 1
+        if a != b:
+            written += 1
+            rows.setdefault(a, {})[b] = value
+            rows.setdefault(b, {})[a] = value
+    n_pairs = sum(len(row) for row in rows.values()) // 2
+    return rows, written - n_pairs, clamped, available
+
+
+def events_reference(path):
+    """Sorted (learner_id, order_index, label +-1, topics) rows of a well-formed event file.
+
+    Each row is parsed cell by cell with ``int``/``float`` (topics split on
+    ";" and ":" for CSV, ``[[id, depth], ...]`` for JSON lines), depths are
+    clamped to [0, 1], and the rows are sorted by learner, then order index.
+    Returns the rows and the number of clamped depths.
+    """
+    if str(path).endswith(".jsonl"):
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+        raw = [
+            (str(r["learner_id"]), int(r["order_index"]), int(r["label"]),
+             [(int(t), float(d)) for t, d in r["topics"]])
+            for r in records
+        ]
+    else:
+        with open(path, newline="", encoding="utf-8") as fh:
+            cells = [row for row in list(csv.reader(fh))[1:] if row]
+        raw = [
+            (learner, int(order), int(label),
+             [(int(t), float(d)) for t, _, d in
+              (chunk.strip().partition(":") for chunk in topics.split(";") if chunk.strip())])
+            for learner, order, label, topics in cells
+        ]
+    rows, clamped = [], 0
+    for learner, order, label, topics in raw:
+        clamped += sum(1 for _, d in topics if d < 0.0 or d > 1.0)
+        topics = tuple((t, min(max(d, 0.0), 1.0)) for t, d in topics)
+        rows.append((learner, order, 1 if label == 1 else -1, topics))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return rows, clamped

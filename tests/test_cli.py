@@ -393,6 +393,11 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     assert "numpy" not in loaded and "scipy" not in loaded
 
 
+def test_cli_import_does_not_load_the_process_pool():
+    # A pool is started only by a replay at more than one worker.
+    assert "concurrent.futures.process" not in modules_loaded_by("import semlearn.cli")
+
+
 def test_analyze_and_validate_data_load_neither_numpy_nor_scipy(corpus, tmp_path):
     base_out = tmp_path / "base"
     assert run(["evaluate", "--data", corpus["events"], "--out-dir", base_out]) == 0

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semlearn.data import (
     DataError,
@@ -11,7 +13,50 @@ from semlearn.data import (
     split_learners,
 )
 
+from oracles import events_reference
 from synthetic import random_sessions
+
+# Spellings that int() reads as the same id.
+ID_SPELLINGS = ("{}", "0{}", "+{}", " {}", "{} ")
+EVENT_IDS = (0, 7, 300, 4096, 70000)
+
+
+@st.composite
+def event_rows(draw):
+    """Well-formed (learner, order, label, [(id cell, depth)]) rows, ids spelled several
+    ways, depths partly outside [0, 1]."""
+    keys = draw(
+        st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 30)), min_size=1,
+                 max_size=30, unique=True)
+    )
+    rows = []
+    for learner, order in keys:
+        ids = draw(st.lists(st.sampled_from(EVENT_IDS), min_size=1, max_size=5, unique=True))
+        topics = [
+            (draw(st.sampled_from(ID_SPELLINGS)).format(t), draw(st.floats(-0.5, 1.5)))
+            for t in ids
+        ]
+        rows.append((learner, order, draw(st.sampled_from([0, 1])), topics))
+    return rows
+
+
+def write_events(path, rows):
+    """CSV or JSON lines by suffix; in JSON a plain decimal spelling is written as a number."""
+    if path.suffix == ".csv":
+        lines = ["learner_id,order_index,label,topics"] + [
+            f"{learner},{order},{label}," + ";".join(f"{cell}:{depth!r}" for cell, depth in topics)
+            for learner, order, label, topics in rows
+        ]
+    else:
+        lines = [
+            json.dumps({
+                "learner_id": learner, "order_index": order, "label": label,
+                "topics": [[int(c) if c == str(int(c)) else c, d] for c, d in topics],
+            })
+            for learner, order, label, topics in rows
+        ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestLoadCsv:
@@ -114,6 +159,30 @@ class TestLoadJsonl:
         ds = load_events(path)
         assert ds.ingest.malformed_rows == 1
         assert ds.n_events == 1
+
+
+class TestMatchesReferenceParser:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=event_rows(), suffix=st.sampled_from([".csv", ".jsonl"]))
+    def test_events_match(self, tmp_path_factory, rows, suffix):
+        path = write_events(tmp_path_factory.mktemp("events") / f"events{suffix}", rows)
+        expected, clamped = events_reference(path)
+        ds = load_events(path)
+        loaded = [
+            (ev.learner_id, ev.order_index, ev.label, ev.topics)
+            for lid in ds.learner_ids()
+            for ev in ds.learners[lid]
+        ]
+        assert loaded == expected
+        assert (ds.ingest.malformed_rows, ds.ingest.clamped_depths) == (0, clamped)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_each_topic_id_is_one_object(self, tmp_path, suffix):
+        # Each id is parsed once, so the events share one int object per id.
+        rows = [("a", i, 1, [("1000", 0.5), ("2000", 0.5)]) for i in range(5)]
+        ds = load_events(write_events(tmp_path / f"events{suffix}", rows))
+        ids = [topic for ev in ds.learners["a"] for topic, _ in ev.topics]
+        assert len({id(topic) for topic in ids}) == len(set(ids)) == 2
 
 
 class TestRoundTrip:

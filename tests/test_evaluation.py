@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semlearn.evaluation
 from semlearn.data import Dataset, DataError, EngagementEvent, save_events
 from semlearn.evaluation import (
     SESSION_FEATURES,
@@ -94,6 +95,16 @@ class TestAggregate:
         shuffled = scores[:]
         rng.shuffle(shuffled)
         assert aggregate(shuffled) == got
+
+
+    def test_does_not_depend_on_sum(self, monkeypatch):
+        # sum() compensates float rounding since CPython 3.12; ten recalls
+        # of 0.1 are where it and a left-to-right sum differ.
+        assert sum([0.1] * 10) != math.fsum([0.1] * 10)
+        scores = [self.score(f"u{i}", 1, 0.1, 0.1, 0.1) for i in range(10)]
+        expected = [x.hex() for x in aggregate(scores)]
+        monkeypatch.setattr(semlearn.evaluation, "sum", math.fsum, raising=False)
+        assert [x.hex() for x in aggregate(scores)] == expected
 
 
 class TestPairedTTest:
@@ -225,6 +236,14 @@ class TestRecallByEventIndex:
         assert series[0] == (1, pytest.approx(0.5))
         assert series[1] == (2, pytest.approx(0.5))
         assert series[2] == (3, pytest.approx(0.5))
+
+
+    def test_does_not_depend_on_sum(self, monkeypatch):
+        # Ten learners whose recall over their first 10 events is 0.1.
+        traces = {f"u{i}": [(1, 1)] + [(-1, 1)] * 9 for i in range(10)}
+        expected = [(n, x.hex()) for n, x in recall_by_event_index(traces, 10)]
+        monkeypatch.setattr(semlearn.evaluation, "sum", math.fsum, raising=False)
+        assert [(n, x.hex()) for n, x in recall_by_event_index(traces, 10)] == expected
 
 
 class TestSessionFeatures:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semlearn.novel
 from semlearn.data import EngagementEvent, LearnerModel
 from semlearn.gaussians import Gaussian1D
 from semlearn.novel import ModelConfig, predict, replay_session, update
@@ -252,6 +253,23 @@ class TestStep:
         p_expected, pred_expected = predict(before, ev, cfg)
         p_engage, prediction = update(model, ev, cfg)
         assert (p_engage.hex(), prediction) == (p_expected.hex(), pred_expected)
+
+    def test_step_does_not_depend_on_sum(self, monkeypatch):
+        # sum() compensates float rounding since CPython 3.12. Skill means
+        # 1e16, 1 and -1e16 sum to 0 left to right and to 1 exactly, so a
+        # step that summed with sum() would change its bits between versions.
+        assert sum([1e16, 1.0, -1e16]) != math.fsum([1e16, 1.0, -1e16])
+        ev = event([(0, 1.0), (1, 1.0), (2, 1.0)])
+
+        def step():
+            skills = {0: Gaussian1D(1e16, 1.0), 1: Gaussian1D(1.0, 1.0), 2: Gaussian1D(-1e16, 1.0)}
+            model = LearnerModel(skills=skills)
+            p_engage, _ = update(model, ev, ModelConfig())
+            return p_engage.hex(), [(g.mean.hex(), g.variance.hex()) for g in skills.values()]
+
+        expected = step()
+        monkeypatch.setattr(semlearn.novel, "sum", math.fsum, raising=False)
+        assert step() == expected
 
     def test_replay_bytes_pinned(self):
         # Digests recorded from the two-pass predict-then-update step this

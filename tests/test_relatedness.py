@@ -1,11 +1,13 @@
 import hashlib
 import itertools
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semlearn.relatedness
 from semlearn.data import DataError, EngagementEvent
 from semlearn.relatedness import (
     LearnerTopicGraph,
@@ -25,6 +27,7 @@ from oracles import (
     local_connectivity_brute,
     related_seen_brute,
     session_edges_brute,
+    sr_rows_reference,
     vertex_connectivity_brute,
 )
 from synthetic import random_sr_table, write_sr_csv
@@ -33,6 +36,34 @@ from synthetic import random_sr_table, write_sr_csv
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+# Spellings that int() reads as the same id.
+ID_SPELLINGS = ("{}", "0{}", "+{}", " {}", "{} ")
+SR_IDS = (0, 7, 300, 4096)
+
+
+@st.composite
+def sr_file_lines(draw):
+    """A long- or wide-format SR file's lines: spellings of one id mixed, duplicate
+    pairs, self-pairs, zeros, other metrics, out-of-range values, blank lines,
+    and at most one bad row."""
+    long_format = draw(st.booleans())
+    spelled_id = st.builds(str.format, st.sampled_from(ID_SPELLINGS), st.sampled_from(SR_IDS))
+    value = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(-2.0, 3.0)).map(repr)
+    if long_format:
+        header = "topic_a,topic_b,metric,value"
+        metric = st.sampled_from(["w2v", " W2V", "mw", "Mw "])
+        cells = st.tuples(spelled_id, spelled_id, metric, value)
+        bad_rows = ["7,x,w2v,0.5", "7,8,mw,abc", "7,8"]
+    else:
+        header = "topic_a,topic_b,mw,w2v"
+        cells = st.tuples(spelled_id, spelled_id, value, value)
+        bad_rows = ["7,x,0.1,0.5", "7,8,0.1,abc", "7,8"]
+    rows = [",".join(row) for row in draw(st.lists(cells, min_size=1, max_size=40))]
+    for extra in draw(st.lists(st.sampled_from(["", *bad_rows]), max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return [header, *rows]
 
 
 class TestLoadSrTable:
@@ -126,6 +157,45 @@ class TestLoadSrTable:
         )
         with pytest.raises(DataError, match="sr.csv:2"):
             load_sr_table(path, "w2v")
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=sr_file_lines())
+    def test_matches_reference_parser(self, tmp_path_factory, lines):
+        path = write_lines(tmp_path_factory.mktemp("sr") / "sr.csv", lines)
+        try:
+            expected, duplicates, clamped, available = sr_rows_reference(path, "w2v")
+        except ValueError as bad:
+            line_no, exc = bad.args
+            with pytest.raises(DataError) as err:
+                load_sr_table(path, "w2v")
+            assert str(err.value) == f"{path}:{line_no}: bad SR row: {exc}"
+            return
+        if "w2v" not in available:
+            with pytest.raises(DataError, match="metric 'w2v' not present"):
+                load_sr_table(path, "w2v")
+            return
+        with patch.object(semlearn.relatedness.log, "warning") as warning:
+            table = load_sr_table(path, "w2v")
+        # Row order and key order too, not only dict equality.
+        assert [(a, list(row.items())) for a, row in table.neighbours.items()] == [
+            (a, list(row.items())) for a, row in expected.items()
+        ]
+        assert len(table) == sum(map(len, expected.values())) // 2
+        warnings = [call.args[0] % call.args[1:] for call in warning.call_args_list]
+        assert warnings == [
+            *([f"{path}: {duplicates} duplicate pair(s), last value kept"] if duplicates else []),
+            *([f"{path}: {clamped} value(s) outside [0,1] clamped"] if clamped else []),
+        ]
+
+    def test_each_id_is_one_object(self, tmp_path):
+        # Each id spelling is parsed once, so the table holds one int object
+        # per id rather than one per cell.
+        lines = ["topic_a,topic_b,metric,value"] + [
+            f"{1000 + i},{2000 + j},w2v,0.5" for i in range(5) for j in range(5)
+        ]
+        table = load_sr_table(write_lines(tmp_path / "sr.csv", lines), "w2v")
+        ids = [*table.neighbours, *(b for row in table.neighbours.values() for b in row)]
+        assert len({id(topic) for topic in ids}) == len(set(ids)) == 10
 
     @settings(max_examples=50)
     @given(

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semlearn.semantic
 from semlearn.data import EngagementEvent, LearnerModel
 from semlearn.gaussians import Gaussian1D
 from semlearn.novel import ModelConfig, predict, replay_session, update
@@ -176,6 +178,28 @@ class TestPropagatePrior:
         slope2 = (means[2] - means[1]) / 0.3
         assert slope1 == pytest.approx(slope2, abs=1e-12)
         assert slope1 == pytest.approx(2.0 / 2.0, abs=1e-12)
+
+
+    def test_inverse_standard_error_does_not_depend_on_sum(self, monkeypatch):
+        # sum() compensates float rounding since CPython 3.12. These five
+        # neighbours' inverse standard errors are where it and a
+        # left-to-right sum give different priors.
+        skills = {0: (0.19, 2.9), 1: (-1.94, 1.48), 2: (0.88, 2.61), 3: (-0.4, 0.86), 4: (1.3, 2.43)}
+        model = model_with(skills)
+        inv_se = [1.0 / math.sqrt(1.0 / model.skills[i].precision) for i in skills]
+        assert sum(inv_se) != math.fsum(inv_se)
+        table = SRTable(metric="w2v")
+        for i in skills:
+            table.set(100, i, 0.5)
+        cfg = PropagationConfig(mixing_mode="inverse_standard_error")
+
+        def prior():
+            g = propagate_prior(model, 100, table, cfg, default_variance=0.5)
+            return g.mean.hex(), g.variance.hex()
+
+        expected = prior()
+        monkeypatch.setattr(semlearn.semantic, "sum", math.fsum, raising=False)
+        assert prior() == expected
 
 
 class TestSemanticStep:
