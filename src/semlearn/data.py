@@ -236,7 +236,7 @@ def load_events(path, fmt: str = "auto", top_topics: int | None = None) -> Datas
             if order_index < 0:
                 raise ValueError(f"order_index must be >= 0, got {order_index}")
             topics = _normalize_topics(pairs, report, top_topics)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
             report.malformed_rows += 1
             if report.first_malformed_line is None:
                 report.first_malformed_line = line_no

@@ -11,6 +11,7 @@ immutable after load.
 from __future__ import annotations
 
 import csv
+import heapq
 import itertools
 from collections import defaultdict
 import logging
@@ -180,7 +181,8 @@ def min_cut_set_size(graph: LearnerTopicGraph) -> int:
     with k = deg(v), then lower k to the local connectivity between v and
     each non-neighbour and between each non-adjacent pair of v's neighbours.
     Each local connectivity is a unit-capacity max flow (Even 1975) on the
-    node-split graph, stopped once it reaches the current k.
+    node-split graph, stopped once it reaches the current k; a non-neighbour
+    with k neighbours already known to be that well connected to v needs none.
     """
     n = len(graph.nodes)
     if n < 2:
@@ -207,12 +209,29 @@ def min_cut_set_size(graph: LearnerTopicGraph) -> int:
         in_arcs += ({2 * w + 1 for w in adjacent[u]}, {2 * u})
     v = min(range(n), key=lambda u: len(adjacent[u]))
     k = len(adjacent[v])
-    pairs = [(v, w) for w in range(n) if w != v and w not in adjacent[v]]
-    pairs += [
-        (x, y) for x, y in itertools.combinations(adjacent[v], 2) if y not in adjacent[x]
-    ]
-    for s, t in pairs:
-        k = min(k, _disjoint_paths(out_arcs, in_arcs, 2 * s + 1, 2 * t, k))
+    # Source phase: κ(v, w) for each non-neighbour w, most known neighbours
+    # first. A vertex is known once no cut S with |S| < k and v ∉ S can put it
+    # beyond S: v and its neighbours from the start, and each w once checked,
+    # since then κ(v, w) >= k and k only falls. If w has k known neighbours
+    # and lay beyond such an S, all k would sit inside S, which is too small;
+    # so κ(v, w) >= k is certified and the flow is skipped.
+    known = adjacent[v] | {v}
+    known_neighbours = [len(adjacent[w] & known) for w in range(n)]
+    heap = [(-known_neighbours[w], w) for w in range(n) if w not in known]
+    heapq.heapify(heap)
+    while heap:
+        w = heapq.heappop(heap)[1]
+        if w in known:
+            continue  # a stale entry: w was pushed again with a higher count
+        if known_neighbours[w] < k:
+            k = _disjoint_paths(out_arcs, in_arcs, 2 * v + 1, 2 * w, k)
+        known.add(w)
+        for x in adjacent[w] - known:
+            known_neighbours[x] += 1
+            heapq.heappush(heap, (-known_neighbours[x], x))
+    for x, y in itertools.combinations(adjacent[v], 2):
+        if y not in adjacent[x]:
+            k = _disjoint_paths(out_arcs, in_arcs, 2 * x + 1, 2 * y, k)
     return k
 
 

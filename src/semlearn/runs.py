@@ -468,7 +468,30 @@ def _load_report(path) -> dict:
         raise DataError(f"{path} is not an evaluate report ({exc!r})") from exc
     if not learner_lists or not all(learner_lists):
         raise DataError(f"{path}: report has no learners to analyze")
+    if not all(isinstance(entry.get("model_id"), str) for entry in report["models"]):
+        raise DataError(f"{path}: a model entry has no string model_id")
+    if not all(isinstance(learners, list) for learners in learner_lists):
+        raise DataError(f"{path}: a model's learners must be a list")
+    for entry in itertools.chain.from_iterable(learner_lists):
+        learner_id = entry.get("learner_id") if isinstance(entry, dict) else None
+        if not isinstance(learner_id, str):
+            raise DataError(f"{path}: a learner entry has no string learner_id")
+        predictions, labels = entry.get("predictions"), entry.get("labels")
+        if not (_is_trace_column(predictions) and _is_trace_column(labels)):
+            raise DataError(
+                f"{path}: learner {learner_id!r}: predictions and labels must be lists of 1 or -1"
+            )
+        if len(predictions) != len(labels):
+            raise DataError(
+                f"{path}: learner {learner_id!r}: "
+                f"{len(predictions)} predictions for {len(labels)} labels"
+            )
     return report
+
+
+def _is_trace_column(values) -> bool:
+    # type() rather than isinstance(): JSON true is a bool, which equals 1.
+    return isinstance(values, list) and all(type(x) is int and x in (1, -1) for x in values)
 
 
 def _significant_rho(rho: float, p: float) -> str:

@@ -276,34 +276,43 @@ def sr_rows_reference(path, metric: str):
 
 
 def events_reference(path):
-    """Sorted (learner_id, order_index, label +-1, topics) rows of a well-formed event file.
+    """Sorted (learner_id, order_index, label +-1, topics) rows of an event file.
 
     Each row is parsed cell by cell with ``int``/``float`` (topics split on
     ";" and ":" for CSV, ``[[id, depth], ...]`` for JSON lines), depths are
     clamped to [0, 1], and the rows are sorted by learner, then order index.
-    Returns the rows and the number of clamped depths.
+    A row whose cells do not parse (a ``ValueError``, or the ``OverflowError``
+    of ``int`` on an infinite JSON number) is dropped and counted; no other
+    schema rule is checked. Returns the rows, the number of clamped depths
+    and the number of dropped rows.
     """
     if str(path).endswith(".jsonl"):
         with open(path, encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh if line.strip()]
-        raw = [
-            (str(r["learner_id"]), int(r["order_index"]), int(r["label"]),
-             [(int(t), float(d)) for t, d in r["topics"]])
-            for r in records
-        ]
+
+        def parse(r):
+            return (str(r["learner_id"]), int(r["order_index"]), int(r["label"]),
+                    [(int(t), float(d)) for t, d in r["topics"]])
     else:
         with open(path, newline="", encoding="utf-8") as fh:
-            cells = [row for row in list(csv.reader(fh))[1:] if row]
-        raw = [
-            (learner, int(order), int(label),
-             [(int(t), float(d)) for t, _, d in
-              (chunk.strip().partition(":") for chunk in topics.split(";") if chunk.strip())])
-            for learner, order, label, topics in cells
-        ]
+            records = [row for row in list(csv.reader(fh))[1:] if row]
+
+        def parse(cells):
+            learner, order, label, topics = cells
+            return (learner, int(order), int(label),
+                    [(int(t), float(d)) for t, _, d in
+                     (chunk.strip().partition(":") for chunk in topics.split(";")
+                      if chunk.strip())])
+    raw, dropped = [], 0
+    for record in records:
+        try:
+            raw.append(parse(record))
+        except (ValueError, OverflowError):
+            dropped += 1
     rows, clamped = [], 0
     for learner, order, label, topics in raw:
         clamped += sum(1 for _, d in topics if d < 0.0 or d > 1.0)
         topics = tuple((t, min(max(d, 0.0), 1.0)) for t, d in topics)
         rows.append((learner, order, 1 if label == 1 else -1, topics))
     rows.sort(key=lambda r: (r[0], r[1]))
-    return rows, clamped
+    return rows, clamped, dropped

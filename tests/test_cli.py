@@ -305,6 +305,50 @@ class TestAnalyzeCommand:
         assert run(["analyze", edited, "--data", corpus["events"],
                     "--sr-table", corpus["sr"], "--out-dir", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize("change", ["no_predictions", "not_a_list", "unequal", "zero"])
+    def test_malformed_learner_entry_is_data_error_before_loading(
+        self, corpus, tmp_path, capsys, change
+    ):
+        base_out = tmp_path / "base"
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", base_out]) == 0
+        capsys.readouterr()
+        report = json.loads((base_out / "report.json").read_text())
+        learner = report["models"][0]["learners"][1]
+        if change == "no_predictions":
+            del learner["predictions"]
+        elif change == "not_a_list":
+            learner["predictions"] = 5
+        elif change == "unequal":
+            learner["labels"].pop()
+        else:
+            learner["predictions"][0] = 0
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(report))
+        # The SR table does not exist: the entry must be refused before it is read.
+        assert run(["analyze", edited, "--data", corpus["events"],
+                    "--sr-table", tmp_path / "missing.csv", "--out-dir", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        assert f"learner {learner['learner_id']!r}" in err
+
+    @pytest.mark.parametrize("model_id", [None, ["truelearn-novel"]])
+    def test_model_entry_without_string_id_is_data_error_before_loading(
+        self, corpus, tmp_path, capsys, model_id
+    ):
+        base_out = tmp_path / "base"
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", base_out]) == 0
+        capsys.readouterr()
+        report = json.loads((base_out / "report.json").read_text())
+        if model_id is None:
+            del report["models"][0]["model_id"]
+        else:
+            report["models"][0]["model_id"] = model_id
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(report))
+        assert run(["analyze", edited, "--data", corpus["events"],
+                    "--sr-table", tmp_path / "missing.csv", "--out-dir", tmp_path / "x"]) == 2
+        assert "no string model_id" in capsys.readouterr().err
+
     def test_fewer_than_three_learners_is_data_error(self, corpus, tmp_path, capsys):
         base_out = tmp_path / "base"
         assert run(["evaluate", "--data", corpus["events"], "--out-dir", base_out]) == 0
@@ -352,6 +396,17 @@ class TestValidateData:
         path.write_text("learner_id,order_index,label,topics\na,0,1,1:0.5\na,1,9,1:0.5\n")
         assert run(["validate-data", "--data", path]) == 0
         assert "malformed rows: 1" in capsys.readouterr().out
+
+    def test_infinite_json_number_is_a_malformed_row(self, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"learner_id": "a", "order_index": 0, "label": 1, "topics": [[1, 0.5]]}\n'
+            '{"learner_id": "a", "order_index": 1, "label": 1, "topics": [[1e400, 0.5]]}\n'
+        )
+        assert run(["validate-data", "--data", path]) == 0
+        out = capsys.readouterr().out
+        assert "malformed rows: 1" in out
+        assert "first at line 2" in out
 
     def test_duplicate_key_exits_two(self, tmp_path):
         path = tmp_path / "events.csv"

@@ -160,13 +160,38 @@ class TestLoadJsonl:
         assert ds.ingest.malformed_rows == 1
         assert ds.n_events == 1
 
+    @pytest.mark.parametrize("field", ["topic", "order_index", "label"])
+    @pytest.mark.parametrize("number", ["1e400", "Infinity", "-1e400"])
+    def test_infinite_number_is_a_malformed_row(self, tmp_path, field, number):
+        # json reads these as float infinities, and int() of one overflows.
+        cells = {"topic": "3", "order_index": "1", "label": "1"}
+        cells[field] = number
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"learner_id": "a", "order_index": 0, "label": 1, "topics": [[3, 0.5]]}\n'
+            f'{{"learner_id": "a", "order_index": {cells["order_index"]}, '
+            f'"label": {cells["label"]}, "topics": [[{cells["topic"]}, 0.5]]}}\n'
+        )
+        ds = load_events(path)
+        assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
+        assert ds.ingest.first_malformed_line == 2
+        expected, _, dropped = events_reference(path)
+        assert dropped == 1
+        assert [(e.learner_id, e.order_index, e.label, e.topics) for e in ds.learners["a"]] == expected
+
+    @pytest.mark.parametrize("row", ["a,1,1,1e400:0.5", "a,1e400,1,3:0.5", "a,1,1e400,3:0.5"])
+    def test_csv_spelling_of_1e400_is_a_malformed_row(self, tmp_events_csv, row):
+        ds = load_events(tmp_events_csv(["a,0,1,3:0.5", row]))
+        assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
+        assert ds.ingest.first_malformed_line == 3
+
 
 class TestMatchesReferenceParser:
     @settings(max_examples=200, deadline=None)
     @given(rows=event_rows(), suffix=st.sampled_from([".csv", ".jsonl"]))
     def test_events_match(self, tmp_path_factory, rows, suffix):
         path = write_events(tmp_path_factory.mktemp("events") / f"events{suffix}", rows)
-        expected, clamped = events_reference(path)
+        expected, clamped, dropped = events_reference(path)
         ds = load_events(path)
         loaded = [
             (ev.learner_id, ev.order_index, ev.label, ev.topics)
@@ -174,7 +199,7 @@ class TestMatchesReferenceParser:
             for ev in ds.learners[lid]
         ]
         assert loaded == expected
-        assert (ds.ingest.malformed_rows, ds.ingest.clamped_depths) == (0, clamped)
+        assert (ds.ingest.malformed_rows, ds.ingest.clamped_depths) == (dropped, clamped)
 
     @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
     def test_each_topic_id_is_one_object(self, tmp_path, suffix):

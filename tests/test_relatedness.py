@@ -4,11 +4,11 @@ import random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import semlearn.relatedness
-from semlearn.data import DataError, EngagementEvent
+from semlearn.data import DataError, EngagementEvent, split_learners
 from semlearn.relatedness import (
     LearnerTopicGraph,
     SRTable,
@@ -30,7 +30,7 @@ from oracles import (
     sr_rows_reference,
     vertex_connectivity_brute,
 )
-from synthetic import random_sr_table, write_sr_csv
+from synthetic import random_sessions, random_sr_table, write_sr_csv
 
 
 def write_lines(path, lines):
@@ -363,6 +363,16 @@ def relabelled(edges, seed):
     return [(min(label[a], label[b]), max(label[a], label[b])) for a, b in edges]
 
 
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """The arguments of every ``_disjoint_paths`` call made during the test."""
+    calls, real = [], semlearn.relatedness._disjoint_paths
+    monkeypatch.setattr(
+        semlearn.relatedness, "_disjoint_paths", lambda *args: calls.append(args) or real(*args)
+    )
+    return calls
+
+
 class TestVertexConnectivity:
     """min_cut_set_size against brute force, planted families and networkx."""
 
@@ -448,6 +458,67 @@ class TestVertexConnectivity:
             g.add_edges_from(edges)
             got = min_cut_set_size(graph_from_edges(edges, extra_nodes=range(n)))
             assert got == nx.node_connectivity(g)
+
+    def test_certified_vertices_need_no_flow(self, flow_calls):
+        # K_30 plus v joined to 4 of its vertices: v has the minimum degree 4,
+        # and every other K_30 vertex has those 4 known neighbours, so no
+        # flow is needed from v, and v's neighbours are pairwise adjacent.
+        edges = complete_on(range(30)) + [(k, 30) for k in range(4)]
+        assert min_cut_set_size(graph_from_edges(relabelled(edges, 30))) == 4
+        assert len(flow_calls) == 0
+
+    def test_flow_budget_on_the_analyze_benchmark_graphs(self, flow_calls):
+        # The 60 test learners of corpus B, as the analyze benchmark splits
+        # them. One flow per non-neighbour and per neighbour pair made 2,562
+        # calls here; the certification pass makes 141.
+        table = random_sr_table(seed=1, topic_pool=2000, n_pairs=200_000)
+        sessions = random_sessions(
+            n_learners=200, seed=2, topic_pool=2000, max_events=40, max_topics=5
+        )
+        learners = split_learners(sessions, 0.7, 42).test_ids()
+        graphs = [build_topic_graph(sessions.learners[lid], table) for lid in learners]
+        assert len(graphs) == 60
+        assert sum(map(min_cut_set_size, graphs)) == 65
+        assert len(flow_calls) <= 200
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        separator=st.integers(1, 6),
+        slack=st.integers(1, 3),
+        low_side=st.sampled_from(["a", "b", "separator"]),
+        full_separator=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_planted_separator_matches_networkx(
+        self, separator, slack, low_side, full_separator, seed
+    ):
+        # Blocks A and B meet only through the separator S. One vertex on
+        # low_side keeps separator + slack edges and so has the minimum
+        # degree; with slack 1 and S joined to all of A and B, each vertex
+        # beyond S has exactly k - 1 neighbours known to the source phase.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        size_a = rng.randint(max(separator + slack + 3, 6), 25)
+        size_b = rng.randint(max(separator + slack + 3, 6), 25)
+        a = list(range(size_a))
+        b = list(range(size_a, size_a + size_b))
+        sep = list(range(size_a + size_b, size_a + size_b + separator))
+        p = rng.uniform(0.7, 1.0)
+        edges = [e for e in complete_on(a) + complete_on(b) if rng.random() < p]
+        edges += [e for e in complete_on(sep) if rng.random() < 0.5]
+        for x in sep:
+            for side in (a, b):
+                reach = side if full_separator else rng.sample(side, rng.randint(1, len(side)))
+                edges += [(min(x, y), max(x, y)) for y in reach]
+        low = rng.choice({"a": a, "b": b, "separator": sep}[low_side])
+        touching = [e for e in edges if low in e]
+        dropped = set(rng.sample(touching, max(len(touching) - separator - slack, 0)))
+        edges = [e for e in edges if e not in dropped]
+        assume(separator < min_degree(edges))
+        g = nx.Graph()
+        g.add_edges_from(edges)
+        got = min_cut_set_size(graph_from_edges(relabelled(edges, seed)))
+        assert got == nx.node_connectivity(g)
 
 
 class TestBuildTopicGraph:
