@@ -132,10 +132,10 @@ def cmd_evaluate(config_path, sr_metric, omega, model, compare, **common):
 @click.option("--out-dir", default="runs/tune", show_default=True)
 def cmd_tune(config_path, sr_metric, omega, model, **common):
     """Grid-search hyperparameters on the train split; select by weighted F1."""
-    _, prop_cfg = _build_configs(config_path, sr_metric, omega)
+    base_cfg, prop_cfg = _build_configs(config_path, sr_metric, omega)
     if model == MODEL_SEMANTIC and common["sr_table_path"] is None:
         raise click.UsageError("--sr-table is required for the semantic model")
-    out = tune_run(model=model, prop_cfg=prop_cfg, **common)
+    out = tune_run(model=model, base_cfg=base_cfg, prop_cfg=prop_cfg, **common)
     click.echo(f"best F1 {out['best_f1']:.4f} with config {out['best_config']}")
     for path in out["paths"]:
         click.echo(f"wrote {path}")

@@ -70,7 +70,6 @@ class IngestReport:
     """Counters and diagnostics collected while loading an event file."""
 
     rows_read: int = 0
-    events_loaded: int = 0
     malformed_rows: int = 0
     first_malformed_line: int | None = None
     first_malformed_reason: str | None = None
@@ -253,7 +252,6 @@ def load_events(path, fmt: str = "auto", top_topics: int | None = None) -> Datas
             continue
         event = EngagementEvent(learner_id, order_index, topics, label)
         learners.setdefault(learner_id, []).append(event)
-        report.events_loaded += 1
 
     for events in learners.values():
         events.sort(key=lambda e: e.order_index)

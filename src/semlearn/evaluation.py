@@ -233,20 +233,16 @@ def srocc_exact_permutation(x: list[float], y: list[float]) -> tuple[float, floa
     return rho_obs, hits / total
 
 
-def recall_by_event_index(traces: dict[str, Trace], max_n: int) -> list[tuple[int, float]]:
+def recall_by_event_index(traces: dict[str, Trace]) -> list[tuple[int, float]]:
     """Mean cumulative recall at each event position.
 
     For position n, learners with at least n events contribute their recall
-    over events 1..n; the series stops once no learner reaches n.
+    over events 1..n; the series ends at the longest trace.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
     series: list[tuple[int, float]] = []
     ordered = [traces[k] for k in sorted(traces)]
-    for n in range(1, max_n + 1):
+    for n in range(1, max(map(len, ordered), default=0) + 1):
         recalls = [precision_recall_f1(trace[:n])[1] for trace in ordered if len(trace) >= n]
-        if not recalls:
-            break
         total = 0.0
         for recall in recalls:  # not sum(): see aggregate
             total += recall
@@ -267,12 +263,11 @@ def session_feature_table(
     for learner_id in sorted(learner_ids):
         events = dataset.learners[learner_id]
         topic_slots = sum(len(ev.topics) for ev in events)
-        unique_topics = {t for ev in events for t in ev.topic_ids()}
         graph = build_topic_graph(events, table)
         row = (
             len(events),
-            len(unique_topics),
-            1.0 - len(unique_topics) / topic_slots,
+            len(graph.nodes),
+            1.0 - len(graph.nodes) / topic_slots,
             sum(1 for ev in events if ev.label == ENGAGED) / len(events),
             avg_connectedness(graph),
             min_cut_set_size(graph),

@@ -200,13 +200,7 @@ def min_cut_set_size(graph: LearnerTopicGraph) -> int:
                 stack.append(w)
     if len(reached) < n:
         return 0
-    # Node u splits into in(u) = 2u and out(u) = 2u + 1: the arc in(u) -> out(u)
-    # carries u's unit capacity, and each edge {u, w} becomes out(u) -> in(w)
-    # and out(w) -> in(u). Arc sets are kept per node in both directions.
-    out_arcs, in_arcs = [], []
-    for u in range(n):
-        out_arcs += ({2 * u + 1}, {2 * w for w in adjacent[u]})
-        in_arcs += ({2 * w + 1 for w in adjacent[u]}, {2 * u})
+    arcs = None  # the node-split graph, built at the first flow
     v = min(range(n), key=lambda u: len(adjacent[u]))
     k = len(adjacent[v])
     # Source phase: κ(v, w) for each non-neighbour w, most known neighbours
@@ -224,15 +218,30 @@ def min_cut_set_size(graph: LearnerTopicGraph) -> int:
         if w in known:
             continue  # a stale entry: w was pushed again with a higher count
         if known_neighbours[w] < k:
-            k = _disjoint_paths(out_arcs, in_arcs, 2 * v + 1, 2 * w, k)
+            arcs = arcs or _split_arcs(adjacent)
+            k = _disjoint_paths(*arcs, 2 * v + 1, 2 * w, k)
         known.add(w)
         for x in adjacent[w] - known:
             known_neighbours[x] += 1
             heapq.heappush(heap, (-known_neighbours[x], x))
     for x, y in itertools.combinations(adjacent[v], 2):
         if y not in adjacent[x]:
-            k = _disjoint_paths(out_arcs, in_arcs, 2 * x + 1, 2 * y, k)
+            arcs = arcs or _split_arcs(adjacent)
+            k = _disjoint_paths(*arcs, 2 * x + 1, 2 * y, k)
     return k
+
+
+def _split_arcs(adjacent: list[set[int]]) -> tuple[list[set[int]], list[set[int]]]:
+    """(out-arcs, in-arcs) per node of the node-split graph.
+
+    u splits into in(u) = 2u and out(u) = 2u + 1, joined by the arc in(u) -> out(u)
+    of u's unit capacity; each edge {u, w} becomes out(u) -> in(w) and out(w) -> in(u).
+    """
+    out_arcs, in_arcs = [], []
+    for u, neighbours in enumerate(adjacent):
+        out_arcs += ({2 * u + 1}, {2 * w for w in neighbours})
+        in_arcs += ({2 * w + 1 for w in neighbours}, {2 * u})
+    return out_arcs, in_arcs
 
 
 def _disjoint_paths(

@@ -349,8 +349,9 @@ def evaluate_run(
 # --- tune ---
 
 
-def load_grid(path) -> list[ModelConfig]:
-    """Expand a JSON grid file ({param: [values...]}) into configs, in file order."""
+def load_grid(path, base_cfg: ModelConfig | None = None) -> list[ModelConfig]:
+    """Expand a JSON grid file ({param: [values...]}) over ``base_cfg``, in file order."""
+    base = asdict(base_cfg or ModelConfig())
     with open(path, encoding="utf-8") as fh:
         grid = json.load(fh)
     if not isinstance(grid, dict) or not grid:
@@ -364,7 +365,7 @@ def load_grid(path) -> list[ModelConfig]:
         value_lists.append(values)
     configs = []
     for combo in itertools.product(*value_lists):
-        configs.append(ModelConfig.from_dict(dict(zip(names, combo))))
+        configs.append(ModelConfig.from_dict({**base, **dict(zip(names, combo))}))
     return configs
 
 
@@ -376,6 +377,7 @@ def tune_run(
     *,
     sr_table_path=None,
     sr_metric: str | None = None,
+    base_cfg: ModelConfig | None = None,
     prop_cfg: PropagationConfig | None = None,
     seed: int = 42,
     train_fraction: float = 0.7,
@@ -389,7 +391,7 @@ def tune_run(
     Ties keep the earliest grid point. Writes the chosen config and the full
     per-point results table.
     """
-    configs = load_grid(grid_path)
+    configs = load_grid(grid_path, base_cfg)
     dataset, table, prop_cfg, inputs = prepare_run(
         data_path,
         needs_table=model == MODEL_SEMANTIC,
@@ -454,39 +456,46 @@ def tune_run(
 # --- analyze ---
 
 
-def _load_report(path) -> dict:
-    """Read an evaluate report; anything else is a data error."""
+def _load_report(path) -> tuple[str, list[tuple[str, dict[str, Trace]]]]:
+    """An evaluate report's data digest and (model_id, traces) per model entry, or DataError."""
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read report {path}: {exc}") from exc
     try:
-        report["manifest"]["inputs"]["data"]
-        learner_lists = [entry["learners"] for entry in report["models"]]
+        data_digest = report["manifest"]["inputs"]["data"]
+        entries = [(entry["learners"], entry.get("model_id")) for entry in report["models"]]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{path} is not an evaluate report ({exc!r})") from exc
-    if not learner_lists or not all(learner_lists):
+    if not entries or not all(learners for learners, _ in entries):
         raise DataError(f"{path}: report has no learners to analyze")
-    if not all(isinstance(entry.get("model_id"), str) for entry in report["models"]):
-        raise DataError(f"{path}: a model entry has no string model_id")
-    if not all(isinstance(learners, list) for learners in learner_lists):
-        raise DataError(f"{path}: a model's learners must be a list")
-    for entry in itertools.chain.from_iterable(learner_lists):
-        learner_id = entry.get("learner_id") if isinstance(entry, dict) else None
-        if not isinstance(learner_id, str):
-            raise DataError(f"{path}: a learner entry has no string learner_id")
-        predictions, labels = entry.get("predictions"), entry.get("labels")
-        if not (_is_trace_column(predictions) and _is_trace_column(labels)):
-            raise DataError(
-                f"{path}: learner {learner_id!r}: predictions and labels must be lists of 1 or -1"
-            )
-        if len(predictions) != len(labels):
-            raise DataError(
-                f"{path}: learner {learner_id!r}: "
-                f"{len(predictions)} predictions for {len(labels)} labels"
-            )
-    return report
+    columns = []
+    for learners, model_id in entries:
+        if not isinstance(model_id, str):
+            raise DataError(f"{path}: a model entry has no string model_id")
+        if not isinstance(learners, list):
+            raise DataError(f"{path}: a model's learners must be a list")
+        traces: dict[str, Trace] = {}
+        for entry in learners:
+            learner_id = entry.get("learner_id") if isinstance(entry, dict) else None
+            if not isinstance(learner_id, str):
+                raise DataError(f"{path}: a learner entry has no string learner_id")
+            predictions, labels = entry.get("predictions"), entry.get("labels")
+            if not (
+                _is_trace_column(predictions)
+                and _is_trace_column(labels)
+                and len(predictions) == len(labels)
+            ):
+                raise DataError(
+                    f"{path}: learner {learner_id!r}: predictions and labels must be "
+                    "equal-length lists of 1 or -1"
+                )
+            if learner_id in traces:
+                raise DataError(f"{path}: {model_id}: learner {learner_id!r} is listed twice")
+            traces[learner_id] = list(zip(predictions, labels))
+        columns.append((model_id, traces))
+    return data_digest, columns
 
 
 def _is_trace_column(values) -> bool:
@@ -496,13 +505,6 @@ def _is_trace_column(values) -> bool:
 
 def _significant_rho(rho: float, p: float) -> str:
     return f"{rho:.4f}" if not math.isnan(rho) and p < SIGNIFICANCE_LEVEL else ""
-
-
-def _traces_from_report(model_entry: dict) -> dict[str, Trace]:
-    return {
-        learner["learner_id"]: list(zip(learner["predictions"], learner["labels"]))
-        for learner in model_entry["learners"]
-    }
 
 
 def analyze_run(
@@ -529,42 +531,39 @@ def analyze_run(
         data_format=data_format,
         top_topics=top_topics,
     )
-    for path, report in zip(report_paths, reports):
-        if report["manifest"]["inputs"]["data"] != inputs["data"]:
+    for path, (data_digest, _) in zip(report_paths, reports):
+        if data_digest != inputs["data"]:
             raise DataError(
                 f"{path}: report was produced from a different dataset "
                 "(data digest mismatch)"
             )
 
-    models: list[tuple[str, dict[str, Trace]]] = []
-    for report in reports:
-        for entry in report["models"]:
-            models.append((entry["model_id"], _traces_from_report(entry)))
-    learner_sets = [set(traces) for _, traces in models]
-    if any(s != learner_sets[0] for s in learner_sets[1:]):
+    # One column per model entry, in report order: a repeated model id keeps its own.
+    columns = [column for _, entries in reports for column in entries]
+    learner_ids = sorted(columns[0][1])
+    if any(traces.keys() != columns[0][1].keys() for _, traces in columns[1:]):
         raise DataError("reports cover different learner sets; refusing to analyze")
-    learner_ids = sorted(learner_sets[0])
-    for model_id, traces in models:
-        for lid in learner_ids:
-            if lid not in dataset.learners:
-                raise DataError(f"reports name learner {lid!r}, who is not in the data")
-            if len(traces[lid]) != len(dataset.learners[lid]):
+    for lid in learner_ids:
+        events = dataset.learners.get(lid)
+        if events is None:
+            raise DataError(f"reports name learner {lid!r}, who is not in the data")
+        for model_id, traces in columns:
+            if len(traces[lid]) != len(events):
                 raise DataError(
                     f"{model_id}: learner {lid!r}: trace has {len(traces[lid])} entries "
-                    f"for {len(dataset.learners[lid])} events"
+                    f"for {len(events)} events"
                 )
 
     if len(learner_ids) < 3:
         raise DataError(f"reports cover {len(learner_ids)} learner(s); analyze needs at least 3")
     features = session_feature_table(dataset, learner_ids, table)
-    srocc_by_model = {}
-    series_by_model = {}
-    max_n = max(len(t) for _, traces in models for t in traces.values())
-    for model_id, traces in models:
-        recalls = [precision_recall_f1(traces[lid])[1] for lid in learner_ids]
-        srocc_by_model[model_id] = session_feature_srocc(features, recalls)
-        series_by_model[model_id] = dict(recall_by_event_index(traces, max_n))
-    model_ids = [mid for mid, _ in models]
+    sroccs = [
+        session_feature_srocc(features, [precision_recall_f1(traces[lid])[1] for lid in learner_ids])
+        for _, traces in columns
+    ]
+    # Every trace matches its learner's events (checked above), so the series align.
+    series = [recall_by_event_index(traces) for _, traces in columns]
+    model_ids = [mid for mid, _ in columns]
 
     inputs.update({f"report_{i}": file_digest(p) for i, p in enumerate(report_paths)})
     manifest = RunManifest(
@@ -584,18 +583,16 @@ def analyze_run(
         digest,
         ["feature", *model_ids],
         (
-            [feature, *(_significant_rho(*srocc_by_model[mid][feature]) for mid in model_ids)]
+            [feature, *(_significant_rho(*column[feature]) for column in sroccs)]
             for feature in SESSION_FEATURES
         ),
         "graph_features=full_session",
     )
-    # Every model's traces align with the dataset's events (checked above),
-    # so each series covers positions 1..max_n.
     _write_csv(
         series_path,
         digest,
         ["n", *[f"recall_{mid}" for mid in model_ids]],
-        ([n, *(f"{series_by_model[mid][n]:.6f}" for mid in model_ids)] for n in range(1, max_n + 1)),
+        ([row[0][0], *(f"{recall:.6f}" for _, recall in row)] for row in zip(*series)),
         "recall=cumulative",
     )
     return {"srocc": srocc_path, "recall_series": series_path}

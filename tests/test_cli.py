@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -222,6 +223,33 @@ class TestTuneCommand:
         args = ["tune", "--data", tmp_path / "missing.csv", "--grid", grid, option, value]
         assert run(args) == 1
 
+    def test_config_is_the_base_of_every_grid_point(self, corpus, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"beta": 7.0, "draw_margin_eps": 0.3}))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"draw_margin_eps": [0.01, 0.6]}))
+        out = tmp_path / "tune_cfg"
+        assert run(["tune", "--data", corpus["events"], "--grid", grid, "--config", cfg_path,
+                    "--out-dir", out]) == 0
+        rows = list(csv.DictReader(
+            line for line in (out / "tuning_results.csv").read_text().splitlines()
+            if not line.startswith("#")
+        ))
+        # The config sets beta everywhere; the grid's key overrides its margin.
+        assert [(row["beta"], row["draw_margin_eps"]) for row in rows] == [
+            ("7.0", "0.01"), ("7.0", "0.6"),
+        ]
+        assert json.loads((out / "best_config.json").read_text())["config"]["beta"] == 7.0
+
+    @pytest.mark.parametrize("content", ['{"beta": "a"}', '{"no_such_key": 1.0}'])
+    def test_bad_config_is_usage_error_before_loading(self, tmp_path, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"draw_margin_eps": [0.6]}))
+        assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid,
+                    "--config", cfg_path]) == 1
+
     def test_load_grid_order(self, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"beta": [0.5, 1.0], "dynamics_tau": [0.0, 0.1]}))
@@ -305,7 +333,9 @@ class TestAnalyzeCommand:
         assert run(["analyze", edited, "--data", corpus["events"],
                     "--sr-table", corpus["sr"], "--out-dir", tmp_path / "x"]) == 2
 
-    @pytest.mark.parametrize("change", ["no_predictions", "not_a_list", "unequal", "zero"])
+    @pytest.mark.parametrize(
+        "change", ["no_predictions", "not_a_list", "unequal", "zero", "listed_twice"]
+    )
     def test_malformed_learner_entry_is_data_error_before_loading(
         self, corpus, tmp_path, capsys, change
     ):
@@ -320,6 +350,8 @@ class TestAnalyzeCommand:
             learner["predictions"] = 5
         elif change == "unequal":
             learner["labels"].pop()
+        elif change == "listed_twice":
+            report["models"][0]["learners"].append(dict(learner))
         else:
             learner["predictions"][0] = 0
         edited = tmp_path / "edited.json"
@@ -348,6 +380,32 @@ class TestAnalyzeCommand:
         assert run(["analyze", edited, "--data", corpus["events"],
                     "--sr-table", tmp_path / "missing.csv", "--out-dir", tmp_path / "x"]) == 2
         assert "no string model_id" in capsys.readouterr().err
+
+    def test_same_model_reports_keep_their_own_columns(self, corpus, tmp_path):
+        # Two baseline reports with different configs share one model id;
+        # each column must read what analyzing its report alone reads.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"beta": 1.0, "beta_perf": 0.25, "draw_margin_eps": 0.6}))
+        reports = []
+        for name, config in (("default", []), ("tuned", ["--config", cfg_path])):
+            assert run(["evaluate", "--data", corpus["events"], *config,
+                        "--out-dir", tmp_path / name]) == 0
+            reports.append(tmp_path / name / "report.json")
+
+        def tables(paths, out):
+            assert run(["analyze", *paths, "--data", corpus["events"],
+                        "--sr-table", corpus["sr"], "--out-dir", out]) == 0
+            return [
+                [line.split(",") for line in (out / name).read_text().splitlines()[2:]]
+                for name in ("srocc.csv", "recall_by_event.csv")
+            ]
+
+        both = tables(reports, tmp_path / "both")
+        alone = [tables([path], tmp_path / f"alone{i}") for i, path in enumerate(reports)]
+        assert alone[0][1] != alone[1][1]
+        for table, first, second in zip(both, alone[0], alone[1]):
+            assert [row[:2] for row in table] == first
+            assert [[row[0], row[2]] for row in table] == second
 
     def test_fewer_than_three_learners_is_data_error(self, corpus, tmp_path, capsys):
         base_out = tmp_path / "base"

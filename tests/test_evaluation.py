@@ -221,18 +221,18 @@ class TestSrocc:
 class TestRecallByEventIndex:
     def test_single_learner_all_correct(self):
         traces = {"a": [(1, 1)] * 5}
-        assert recall_by_event_index(traces, 5) == [(n, 1.0) for n in range(1, 6)]
+        assert recall_by_event_index(traces) == [(n, 1.0) for n in range(1, 6)]
 
     def test_truncates_past_longest_session(self):
         traces = {"a": [(1, 1)] * 3}
-        assert len(recall_by_event_index(traces, 10)) == 3
+        assert len(recall_by_event_index(traces)) == 3
 
     def test_two_learners_manual(self):
         traces = {
             "a": [(1, 1), (-1, 1)],  # recall: 1, then 1/2
             "b": [(-1, 1), (1, 1), (1, -1)],  # recall: 0, 1/2, 1/2
         }
-        series = recall_by_event_index(traces, 3)
+        series = recall_by_event_index(traces)
         assert series[0] == (1, pytest.approx(0.5))
         assert series[1] == (2, pytest.approx(0.5))
         assert series[2] == (3, pytest.approx(0.5))
@@ -241,9 +241,9 @@ class TestRecallByEventIndex:
     def test_does_not_depend_on_sum(self, monkeypatch):
         # Ten learners whose recall over their first 10 events is 0.1.
         traces = {f"u{i}": [(1, 1)] + [(-1, 1)] * 9 for i in range(10)}
-        expected = [(n, x.hex()) for n, x in recall_by_event_index(traces, 10)]
+        expected = [(n, x.hex()) for n, x in recall_by_event_index(traces)]
         monkeypatch.setattr(semlearn.evaluation, "sum", math.fsum, raising=False)
-        assert [(n, x.hex()) for n, x in recall_by_event_index(traces, 10)] == expected
+        assert [(n, x.hex()) for n, x in recall_by_event_index(traces)] == expected
 
 
 class TestSessionFeatures:

@@ -19,7 +19,7 @@ from semlearn.relatedness import (
     related_seen_topics,
     zero_table,
 )
-from semlearn.relatedness import _disjoint_paths
+from semlearn.relatedness import _disjoint_paths, _split_arcs
 from semlearn.semantic import OMEGA_SIZES
 
 from oracles import (
@@ -373,6 +373,16 @@ def flow_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The adjacency lists of every ``_split_arcs`` call made during the test."""
+    calls, real = [], semlearn.relatedness._split_arcs
+    monkeypatch.setattr(
+        semlearn.relatedness, "_split_arcs", lambda adjacent: calls.append(adjacent) or real(adjacent)
+    )
+    return calls
+
+
 class TestVertexConnectivity:
     """min_cut_set_size against brute force, planted families and networkx."""
 
@@ -398,16 +408,12 @@ class TestVertexConnectivity:
         for a, b in edges:
             adjacent[a].add(b)
             adjacent[b].add(a)
-        # The node-split graph: in(u) = 2u -> out(u) = 2u + 1, out(u) -> in(w).
-        out_arcs, in_arcs = [], []
-        for u in range(n):
-            out_arcs += ({2 * u + 1}, {2 * w for w in adjacent[u]})
-            in_arcs += ({2 * w + 1 for w in adjacent[u]}, {2 * u})
+        arcs = _split_arcs(adjacent)
         cutoff = data.draw(st.integers(0, n))
         for s, t in itertools.permutations(range(n), 2):
             if t not in adjacent[s]:
                 want = min(local_connectivity_brute(range(n), edges, s, t), cutoff)
-                assert _disjoint_paths(out_arcs, in_arcs, 2 * s + 1, 2 * t, cutoff) == want
+                assert _disjoint_paths(*arcs, 2 * s + 1, 2 * t, cutoff) == want
 
     @pytest.mark.parametrize("n", [3, 4, 5, 12, 40])
     def test_cycle_is_two(self, n):
@@ -459,18 +465,21 @@ class TestVertexConnectivity:
             got = min_cut_set_size(graph_from_edges(edges, extra_nodes=range(n)))
             assert got == nx.node_connectivity(g)
 
-    def test_certified_vertices_need_no_flow(self, flow_calls):
+    def test_certified_vertices_need_no_flow(self, flow_calls, split_calls):
         # K_30 plus v joined to 4 of its vertices: v has the minimum degree 4,
         # and every other K_30 vertex has those 4 known neighbours, so no
         # flow is needed from v, and v's neighbours are pairwise adjacent.
+        # Without a flow the node-split graph is never built.
         edges = complete_on(range(30)) + [(k, 30) for k in range(4)]
         assert min_cut_set_size(graph_from_edges(relabelled(edges, 30))) == 4
         assert len(flow_calls) == 0
+        assert len(split_calls) == 0
 
-    def test_flow_budget_on_the_analyze_benchmark_graphs(self, flow_calls):
+    def test_flow_budget_on_the_analyze_benchmark_graphs(self, flow_calls, split_calls):
         # The 60 test learners of corpus B, as the analyze benchmark splits
         # them. One flow per non-neighbour and per neighbour pair made 2,562
-        # calls here; the certification pass makes 141.
+        # calls here; the certification pass makes 141. Each graph builds
+        # its node-split graph once, and only if it needs a flow.
         table = random_sr_table(seed=1, topic_pool=2000, n_pairs=200_000)
         sessions = random_sessions(
             n_learners=200, seed=2, topic_pool=2000, max_events=40, max_topics=5
@@ -478,8 +487,14 @@ class TestVertexConnectivity:
         learners = split_learners(sessions, 0.7, 42).test_ids()
         graphs = [build_topic_graph(sessions.learners[lid], table) for lid in learners]
         assert len(graphs) == 60
-        assert sum(map(min_cut_set_size, graphs)) == 65
+        kappas = []
+        for graph in graphs:
+            flows, splits = len(flow_calls), len(split_calls)
+            kappas.append(min_cut_set_size(graph))
+            assert len(split_calls) - splits == (len(flow_calls) > flows)
+        assert sum(kappas) == 65
         assert len(flow_calls) <= 200
+        assert len(split_calls) < len(graphs)
 
     @settings(max_examples=60, deadline=None)
     @given(
