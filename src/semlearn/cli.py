@@ -5,12 +5,11 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 
 from __future__ import annotations
 
+import argparse
 import json
 import logging
 import sys
 from dataclasses import fields
-
-import click
 
 from .data import DataError, load_events
 from .novel import ModelConfig
@@ -19,6 +18,11 @@ from .runs import MODELS, MODEL_SEMANTIC, analyze_run, evaluate_run, tune_run
 from .semantic import PropagationConfig
 
 _OMEGA_CHOICES = ("1", "3", "5", "10", "all")
+_DEFAULT = "default: %(default)s"
+
+
+class UsageError(Exception):
+    """A bad command line or config file: exit code 1."""
 
 
 def _load_config_file(path) -> dict:
@@ -41,7 +45,7 @@ def _build_configs(config_path, sr_metric, omega):
     prop_keys = {f.name for f in fields(PropagationConfig)}
     unknown = set(raw) - model_keys - prop_keys
     if unknown:
-        raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
     base_cfg = ModelConfig.from_dict({k: v for k, v in raw.items() if k in model_keys})
     prop_raw = {k: v for k, v in raw.items() if k in prop_keys}
     if sr_metric is not None:
@@ -52,147 +56,144 @@ def _build_configs(config_path, sr_metric, omega):
     return base_cfg, prop_cfg
 
 
-def _open_unit_interval(ctx, param, value):
-    """A float strictly between 0 and 1; NaN fails the comparison too."""
-    if not 0.0 < value < 1.0:
-        raise click.BadParameter(f"{value} is not in the open range (0, 1)")
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2 on a usage error; here 2 means a data error.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
     return value
 
 
-def _options(*options):
-    """Apply click options in the order listed."""
-
-    def decorate(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
-
-    return decorate
+def fraction(text: str) -> float:
+    """A float strictly between 0 and 1; NaN fails the comparison too."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{value} is not in the open range (0, 1)")
+    return value
 
 
-_data_options = _options(
-    click.option("--data", "data_path", required=True, help="Event log (CSV or JSONL)."),
-    click.option(
-        "--data-format",
-        type=click.Choice(["auto", "csv", "jsonl"]),
-        default="auto",
-        show_default=True,
-    ),
-    click.option("--top-topics", type=click.IntRange(min=1), help="Keep only the first K topics per event."),
-)
-
-_common_options = _options(
-    _data_options,
-    click.option("--sr-table", "sr_table_path", default=None, help="Relatedness CSV."),
-    click.option("--sr-metric", type=click.Choice(METRICS), default=None),
-    click.option("--omega", type=click.Choice(_OMEGA_CHOICES), default=None),
-    click.option("--config", "config_path", default=None, help="JSON config file."),
-    click.option("--seed", type=int, default=42, show_default=True),
-    click.option("--train-fraction", type=float, default=0.7, show_default=True, callback=_open_unit_interval),
-    click.option("--top-learners", type=click.IntRange(min=1), help="Keep the N most active learners."),
-    click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True),
-)
-
-
-@click.group()
-def cli():
-    """Engagement prediction from evolving Gaussian skill beliefs."""
-
-
-@cli.command("evaluate")
-@_common_options
-@click.option("--model", type=click.Choice(MODELS), default=MODELS[0], show_default=True)
-@click.option("--compare", is_flag=True, help="Run both models and append a paired t-test.")
-@click.option("--out-dir", default="runs/evaluate", show_default=True)
 def cmd_evaluate(config_path, sr_metric, omega, model, compare, **common):
     """Replay test-split learners sequentially and write JSON + CSV reports."""
     base_cfg, prop_cfg = _build_configs(config_path, sr_metric, omega)
     if (compare or model == MODEL_SEMANTIC) and common["sr_table_path"] is None:
-        raise click.UsageError("--sr-table is required for the semantic model")
+        raise UsageError("--sr-table is required for the semantic model")
     out = evaluate_run(
         model=model, compare=compare, base_cfg=base_cfg, prop_cfg=prop_cfg, **common
     )
     for entry in out["report_obj"]["models"]:
         weighted = entry["weighted"]
-        click.echo(
+        print(
             f"{entry['model_id']}: precision={weighted['precision']:.4f} "
             f"recall={weighted['recall']:.4f} f1={weighted['f1']:.4f}"
         )
     comparison = out["report_obj"]["comparison"]
     if comparison:
         for metric, stats in comparison["metrics"].items():
-            click.echo(f"paired t-test ({metric}): t={stats['t']:.4f} p={stats['p']:.6g}")
-    click.echo(f"wrote {out['report']} and {out['summary']}")
+            print(f"paired t-test ({metric}): t={stats['t']:.4f} p={stats['p']:.6g}")
+    print(f"wrote {out['report']} and {out['summary']}")
 
 
-@cli.command("tune")
-@_common_options
-@click.option("--model", type=click.Choice(MODELS), default=MODELS[0], show_default=True)
-@click.option("--grid", "grid_path", required=True, help="JSON grid file ({param: [values...]}).")
-@click.option("--out-dir", default="runs/tune", show_default=True)
 def cmd_tune(config_path, sr_metric, omega, model, **common):
     """Grid-search hyperparameters on the train split; select by weighted F1."""
     base_cfg, prop_cfg = _build_configs(config_path, sr_metric, omega)
     if model == MODEL_SEMANTIC and common["sr_table_path"] is None:
-        raise click.UsageError("--sr-table is required for the semantic model")
+        raise UsageError("--sr-table is required for the semantic model")
     out = tune_run(model=model, base_cfg=base_cfg, prop_cfg=prop_cfg, **common)
-    click.echo(f"best F1 {out['best_f1']:.4f} with config {out['best_config']}")
+    print(f"best F1 {out['best_f1']:.4f} with config {out['best_config']}")
     for path in out["paths"]:
-        click.echo(f"wrote {path}")
+        print(f"wrote {path}")
 
 
-@cli.command("analyze")
-@click.argument("reports", nargs=-1, required=True)
-@_data_options
-@click.option("--sr-table", "sr_table_path", required=True)
-@click.option("--sr-metric", type=click.Choice(METRICS), default="w2v", show_default=True)
-@click.option("--out-dir", default="runs/analyze", show_default=True)
 def cmd_analyze(reports, **options):
     """Emit the per-feature SROCC table and recall-by-event series for evaluate reports."""
-    out = analyze_run(list(reports), **options)
-    click.echo(f"wrote {out['srocc']} and {out['recall_series']}")
+    out = analyze_run(reports, **options)
+    print(f"wrote {out['srocc']} and {out['recall_series']}")
 
 
-@cli.command("validate-data")
-@_data_options
-@click.option("--sr-table", "sr_table_path", default=None)
-@click.option("--sr-metric", type=click.Choice(METRICS), default="w2v", show_default=True)
-def cmd_validate_data(data_path, data_format, sr_table_path, sr_metric, top_topics):
+def cmd_validate_data(data_path, sr_table_path, sr_metric, top_topics):
     """Load inputs, print ingestion diagnostics, and exit nonzero on hard errors."""
-    dataset = load_events(data_path, fmt=data_format, top_topics=top_topics)
+    dataset = load_events(data_path, top_topics=top_topics)
     report = dataset.ingest
-    click.echo(f"learners: {dataset.n_learners}")
-    click.echo(f"events: {dataset.n_events}")
-    click.echo(f"rows read: {report.rows_read}")
-    click.echo(f"malformed rows: {report.malformed_rows}")
+    print(f"learners: {dataset.n_learners}")
+    print(f"events: {dataset.n_events}")
+    print(f"rows read: {report.rows_read}")
+    print(f"malformed rows: {report.malformed_rows}")
     if report.first_malformed_line is not None:
-        click.echo(
-            f"  first at line {report.first_malformed_line}: {report.first_malformed_reason}"
-        )
-    click.echo(f"depths clamped: {report.clamped_depths}")
-    click.echo(f"empty-topic events dropped: {report.dropped_empty_topic_events}")
+        print(f"  first at line {report.first_malformed_line}: {report.first_malformed_reason}")
+    print(f"depths clamped: {report.clamped_depths}")
+    print(f"empty-topic events dropped: {report.dropped_empty_topic_events}")
     if sr_table_path is not None:
         table = load_sr_table(sr_table_path, sr_metric)
-        click.echo(f"sr pairs ({table.metric}): {len(table)}")
+        print(f"sr pairs ({table.metric}): {len(table)}")
+
+
+def _parser() -> _Parser:
+    data = _Parser(add_help=False)
+    data.add_argument("--data", dest="data_path", required=True, help="Event log (CSV or JSONL).")
+    data.add_argument("--top-topics", type=positive_int, help="Keep the first K topics per event.")
+
+    run = _Parser(add_help=False, parents=[data])
+    run.add_argument("--sr-table", dest="sr_table_path", help="Relatedness CSV.")
+    run.add_argument("--sr-metric", choices=METRICS)
+    run.add_argument("--omega", choices=_OMEGA_CHOICES)
+    run.add_argument("--config", dest="config_path", help="JSON config file.")
+    run.add_argument("--seed", type=int, default=42, help=_DEFAULT)
+    run.add_argument("--train-fraction", type=fraction, default=0.7, help=_DEFAULT)
+    run.add_argument("--top-learners", type=positive_int, help="Keep the N most active learners.")
+    run.add_argument("--workers", type=positive_int, default=1, help=_DEFAULT)
+    run.add_argument("--model", choices=MODELS, default=MODELS[0], help=_DEFAULT)
+
+    parser = _Parser(
+        prog="semlearn", description="Engagement prediction from evolving Gaussian skill beliefs."
+    )
+    commands = parser.add_subparsers(title="commands", required=True, metavar="COMMAND")
+
+    def command(name, fn, parents):
+        sub = commands.add_parser(
+            name, parents=parents, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False
+        )
+        sub.set_defaults(command=fn)
+        return sub
+
+    evaluate = command("evaluate", cmd_evaluate, [run])
+    evaluate.add_argument(
+        "--compare", action="store_true", help="Run both models and append a paired t-test."
+    )
+    evaluate.add_argument("--out-dir", default="runs/evaluate", help=_DEFAULT)
+    tune = command("tune", cmd_tune, [run])
+    tune.add_argument(
+        "--grid", dest="grid_path", required=True, help="JSON grid file ({param: [values...]})."
+    )
+    tune.add_argument("--out-dir", default="runs/tune", help=_DEFAULT)
+    analyze = command("analyze", cmd_analyze, [data])
+    analyze.add_argument("reports", nargs="+", metavar="REPORT")
+    analyze.add_argument("--sr-table", dest="sr_table_path", required=True)
+    analyze.add_argument("--sr-metric", choices=METRICS, default="w2v", help=_DEFAULT)
+    analyze.add_argument("--out-dir", default="runs/analyze", help=_DEFAULT)
+    validate = command("validate-data", cmd_validate_data, [data])
+    validate.add_argument("--sr-table", dest="sr_table_path")
+    validate.add_argument("--sr-metric", choices=METRICS, default="w2v", help=_DEFAULT)
+    return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
-        return 1
-    except click.Abort:
-        click.echo("aborted", err=True)
-        return 1
+        options = vars(_parser().parse_args(argv))
+        options.pop("command")(**options)
+    except SystemExit as exc:  # only --help exits, after printing the help
+        return exc.code
     except DataError as exc:
-        click.echo(f"data error: {exc}", err=True)
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -203,25 +203,24 @@ def _row_from_jsonl(line: str, ids: dict) -> tuple[str, int, int, list[tuple[int
     return str(obj["learner_id"]), int(obj["order_index"]), _parse_label(obj["label"]), topics
 
 
-def load_events(path, fmt: str = "auto", top_topics: int | None = None) -> Dataset:
+def load_events(path, top_topics: int | None = None) -> Dataset:
     """Load an event log into a Dataset, enforcing the schema invariants.
 
-    Malformed rows are rejected and counted (first offending line reported);
-    a duplicate (learner, order_index) pair is a hard error. ``fmt`` is
-    "csv", "jsonl", or "auto" (by file extension). ``top_topics`` keeps only
-    the first k topics of each event (file order is rank order).
+    The log is JSON lines when its first non-blank character is ``{`` and
+    CSV otherwise. Malformed rows are rejected and counted (first offending
+    line reported); a duplicate (learner, order_index) pair is a hard error.
+    ``top_topics`` keeps only the first k topics of each event (file order is
+    rank order).
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"event file not found: {path}")
-    if fmt == "auto":
-        fmt = "jsonl" if path.suffix in (".jsonl", ".ndjson") else "csv"
-    if fmt == "csv":
-        rows, parse = _iter_csv_rows(path), _row_from_csv
-    elif fmt == "jsonl":
+    with open(path, encoding="utf-8") as fh:
+        head = next((line.lstrip() for line in fh if not line.isspace()), "")
+    if head.startswith("{"):
         rows, parse = _iter_jsonl_rows(path), _row_from_jsonl
     else:
-        raise ValueError(f"unknown event format {fmt!r}")
+        rows, parse = _iter_csv_rows(path), _row_from_csv
 
     report = IngestReport()
     # One parse and one int object per distinct topic-id cell.

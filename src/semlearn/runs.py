@@ -104,7 +104,6 @@ def prepare_run(
     prop_cfg: PropagationConfig | None = None,
     split: tuple[float, int] | None = None,
     top_learners: int | None = None,
-    data_format: str = "auto",
     top_topics: int | None = None,
 ) -> tuple[Dataset, SRTable | None, PropagationConfig | None, dict[str, str]]:
     """Load a run's inputs: (dataset, table, prop_cfg, input digests).
@@ -124,7 +123,7 @@ def prepare_run(
     else:
         table, prop_cfg = None, None
 
-    dataset = load_events(data_path, fmt=data_format, top_topics=top_topics)
+    dataset = load_events(data_path, top_topics=top_topics)
     if top_learners is not None:
         dataset = select_top_learners(dataset, top_learners)
     if split is not None:
@@ -276,7 +275,6 @@ def evaluate_run(
     top_learners: int | None = None,
     compare: bool = False,
     workers: int = 1,
-    data_format: str = "auto",
     top_topics: int | None = None,
 ) -> dict:
     """Replay the test split under one model (or both with compare) and write reports."""
@@ -290,7 +288,6 @@ def evaluate_run(
         prop_cfg=prop_cfg,
         split=(train_fraction, seed),
         top_learners=top_learners,
-        data_format=data_format,
         top_topics=top_topics,
     )
     test_ids = dataset.test_ids()
@@ -383,7 +380,6 @@ def tune_run(
     train_fraction: float = 0.7,
     top_learners: int | None = None,
     workers: int = 1,
-    data_format: str = "auto",
     top_topics: int | None = None,
 ) -> dict:
     """Grid-search hyperparameters on the train split, selecting by weighted F1.
@@ -400,7 +396,6 @@ def tune_run(
         prop_cfg=prop_cfg,
         split=(train_fraction, seed),
         top_learners=top_learners,
-        data_format=data_format,
         top_topics=top_topics,
     )
     train_ids = dataset.train_ids()
@@ -513,7 +508,6 @@ def analyze_run(
     sr_table_path,
     out_dir,
     sr_metric: str = "w2v",
-    data_format: str = "auto",
     top_topics: int | None = None,
 ) -> dict:
     """Emit the SROCC feature table and recall-by-event series for given reports.
@@ -528,7 +522,6 @@ def analyze_run(
         needs_table=True,
         sr_table_path=sr_table_path,
         sr_metric=sr_metric,
-        data_format=data_format,
         top_topics=top_topics,
     )
     for path, (data_digest, _) in zip(report_paths, reports):

@@ -1,7 +1,9 @@
+import ast
 import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +50,43 @@ BAD_SPLIT_OPTIONS = [
     ("--train-fraction", "1.5"),
     ("--train-fraction", "nan"),
 ]
+
+
+_DATA_OPTIONS = ["--data", "--top-topics", "--sr-table", "--sr-metric"]
+_RUN_OPTIONS = [*_DATA_OPTIONS, "--omega", "--config", "--seed", "--train-fraction",
+                "--top-learners", "--workers", "--model", "--out-dir"]
+COMMAND_OPTIONS = {
+    "evaluate": [*_RUN_OPTIONS, "--compare"],
+    "tune": [*_RUN_OPTIONS, "--grid"],
+    "analyze": [*_DATA_OPTIONS, "--out-dir"],
+    "validate-data": _DATA_OPTIONS,
+}
+
+
+class TestCommandLineContract:
+    def test_help_lists_every_command(self, capsys):
+        assert run(["--help"]) == 0
+        out = capsys.readouterr().out
+        for command in COMMAND_OPTIONS:
+            assert command in out
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_command_help_lists_every_option(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        for option in COMMAND_OPTIONS[command]:
+            assert option in out, option
+
+    @pytest.mark.parametrize("args", [[], ["no-such-command"], ["evaluate"]])
+    def test_missing_command_or_required_option_is_usage_error(self, args):
+        assert run(args) == 1
+
+    def test_tune_semantic_without_sr_table_is_usage_error_before_loading(self, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"beta": [1.0]}))
+        # The data file does not exist: loading it would exit 2.
+        assert run(["tune", "--model", "semantic-truelearn", "--data", tmp_path / "missing.csv",
+                    "--grid", grid]) == 1
 
 
 class TestEvaluateCommand:
@@ -381,6 +420,27 @@ class TestAnalyzeCommand:
                     "--sr-table", tmp_path / "missing.csv", "--out-dir", tmp_path / "x"]) == 2
         assert "no string model_id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "learners,message",
+        [
+            (None, "cannot read report"),
+            ({"a": 1}, "learners must be a list"),
+            ([{"predictions": [1], "labels": [1]}], "no string learner_id"),
+        ],
+    )
+    def test_unreadable_report_or_entry_is_data_error_before_loading(
+        self, corpus, tmp_path, capsys, learners, message
+    ):
+        report = tmp_path / "report.json"  # not written when learners is None
+        if learners is not None:
+            report.write_text(json.dumps({
+                "manifest": {"inputs": {"data": digest(corpus["events"])}},
+                "models": [{"model_id": "truelearn-novel", "learners": learners}],
+            }))
+        assert run(["analyze", report, "--data", corpus["events"],
+                    "--sr-table", tmp_path / "missing.csv", "--out-dir", tmp_path / "x"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_same_model_reports_keep_their_own_columns(self, corpus, tmp_path):
         # Two baseline reports with different configs share one model id;
         # each column must read what analyzing its report alone reads.
@@ -477,6 +537,19 @@ class TestValidateData:
         assert run(["validate-data", "--data", corpus["events"], "--sr-table", sr]) == 2
         assert "sr.csv:2: relatedness must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["events.csv", "events.jsonl"])
+    def test_wrong_event_header_exits_two(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_text("user,idx,y,topics\na,0,1,1:0.5\n")
+        assert run(["validate-data", "--data", path]) == 2
+        assert "expected header" in capsys.readouterr().err
+
+    def test_sr_header_without_topic_columns_exits_two(self, corpus, tmp_path, capsys):
+        sr = tmp_path / "sr.csv"
+        sr.write_text("a,b,metric,value\n1,2,w2v,0.5\n")
+        assert run(["validate-data", "--data", corpus["events"], "--sr-table", sr]) == 2
+        assert "SR header must start with topic_a,topic_b" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_top_topics_below_one_is_usage_error(self, corpus, k):
         assert run(["validate-data", "--data", corpus["events"], "--top-topics", k]) == 1
@@ -504,6 +577,33 @@ def test_cli_import_does_not_load_networkx():
 def test_cli_import_loads_neither_numpy_nor_scipy():
     loaded = modules_loaded_by("import semlearn.cli")
     assert "numpy" not in loaded and "scipy" not in loaded
+
+
+def test_cli_import_does_not_load_click():
+    loaded = modules_loaded_by("import semlearn.cli")
+    assert not any(name == "click" or name.startswith("click.") for name in loaded)
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(semlearn.__file__).resolve().parent
+    pyproject = package.parents[1] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("pyproject.toml is not beside the source tree")
+    with open(pyproject, "rb") as fh:
+        declared = {
+            re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
+            for spec in tomllib.load(fh)["project"]["dependencies"]
+        }
+    imported = set()
+    for path in package.glob("*.py"):
+        # ast.walk reaches the imports inside functions as well.
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names - {"semlearn"} == declared
 
 
 def test_cli_import_does_not_load_the_process_pool():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,16 @@ class TestLoadJsonl:
         assert ds.ingest.malformed_rows == 1
         assert ds.n_events == 1
 
+    def test_blank_lines_before_the_first_object(self, tmp_path):
+        path = tmp_path / "events.txt"
+        path.write_text(
+            '\n  \n{"learner_id": "a", "order_index": 0, "label": 1, "topics": [[3, 0.5]]}\n'
+            "{not json}\n"
+        )
+        ds = load_events(path)
+        assert ds.learners["a"][0].topics == ((3, 0.5),)
+        assert ds.ingest.first_malformed_line == 4
+
     @pytest.mark.parametrize("field", ["topic", "order_index", "label"])
     @pytest.mark.parametrize("number", ["1e400", "Infinity", "-1e400"])
     def test_infinite_number_is_a_malformed_row(self, tmp_path, field, number):
@@ -184,6 +195,15 @@ class TestLoadJsonl:
         ds = load_events(tmp_events_csv(["a,0,1,3:0.5", row]))
         assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
         assert ds.ingest.first_malformed_line == 3
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+@pytest.mark.parametrize("depth", [math.nan, math.inf])
+def test_non_finite_depth_is_a_malformed_row(tmp_path, suffix, depth):
+    rows = [("a", 0, 1, [("3", 0.5)]), ("a", 1, 1, [("3", depth)])]
+    ds = load_events(write_events(tmp_path / f"events{suffix}", rows))
+    assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
+    assert ds.ingest.first_malformed_reason == f"non-finite depth {depth}"
 
 
 class TestMatchesReferenceParser:
@@ -216,8 +236,16 @@ class TestRoundTrip:
         ds = random_sessions(n_learners=8, seed=3)
         path = tmp_path / f"events.{fmt}"
         save_events(ds, path, fmt=fmt)
-        back = load_events(path, fmt=fmt)
+        back = load_events(path)
         assert back == Dataset(learners=ds.learners)
+
+    @pytest.mark.parametrize("fmt,misnamed", [("jsonl", "events.csv"), ("csv", "events.jsonl")])
+    def test_format_comes_from_the_content_not_the_name(self, tmp_path, fmt, misnamed):
+        ds = random_sessions(n_learners=8, seed=3)
+        named, misnamed = tmp_path / f"events.{fmt}", tmp_path / misnamed
+        save_events(ds, named, fmt=fmt)
+        save_events(ds, misnamed, fmt=fmt)
+        assert load_events(misnamed) == load_events(named) == Dataset(learners=ds.learners)
 
 
 class TestSplitLearners:

@@ -7,8 +7,10 @@ import sys
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcx
 
 from semlearn.gaussians import (
+    _ASYMPTOTIC_CUTOFF,
     Gaussian1D,
     UNINFORMATIVE,
     divide,
@@ -155,10 +157,15 @@ class TestTruncatedWithin:
 
 
 class TestTruncatedAbove:
-    def test_inactive_far_inside(self):
-        v, w = truncated_moments_above(10.0, 0.0)
+    @pytest.mark.parametrize("t,eps", [(10.0, 0.0), (60.0, 0.3)])
+    def test_inactive_far_inside(self, t, eps):
+        v, w = truncated_moments_above(t, eps)
         assert v == pytest.approx(0.0, abs=1e-12)
         assert w == pytest.approx(0.0, abs=1e-12)
+        # At t = 60 erfcx overflows to inf and the inactive branch returns exact zeros.
+        overflows = math.isinf(erfcx((eps - t) / math.sqrt(2.0)))
+        assert overflows == (t == 60.0)
+        assert ((v, w) == (0.0, 0.0)) == overflows
 
     def test_standard_hazard_at_zero(self):
         v, w = truncated_moments_above(0.0, 0.0)
@@ -170,11 +177,24 @@ class TestTruncatedAbove:
         assert v == pytest.approx(1.525135276161, abs=1e-9)
         assert w == pytest.approx(0.800902334430, abs=1e-9)
 
-    def test_deep_truncation_stays_finite(self):
-        v, w = truncated_moments_above(-60.0, 0.0)
+    # -2e5 lies past the asymptotic cutoff, -60 before it.
+    @pytest.mark.parametrize("t", [-60.0, -2e5])
+    def test_deep_truncation_stays_finite(self, t):
+        v, w = truncated_moments_above(t, 0.0)
         assert math.isfinite(v)
-        assert v == pytest.approx(60.0 + 1.0 / 60.0, rel=1e-3)
+        assert v == pytest.approx(-t - 1.0 / t, rel=1e-3)
         assert 0.0 < w <= 1.0
+        # w = 1 - 1/t**2 + 6/t**4 + O(t**-6). Past the cutoff the erfcx path's
+        # cancellation error, up to about t**2 * EPS, is far outside this bound.
+        assert w == pytest.approx(1.0 - 1.0 / t**2, abs=10.0 / t**4 + 4 * EPS)
+
+    def test_continuous_across_the_asymptotic_cutoff(self):
+        below = truncated_moments_above(-math.nextafter(_ASYMPTOTIC_CUTOFF, 0.0), 0.0)
+        past = truncated_moments_above(-_ASYMPTOTIC_CUTOFF, 0.0)
+        assert below[0] == pytest.approx(past[0], rel=1e-12)
+        # Below the cutoff w = v * (v - alpha) cancels: v carries an error of a
+        # few ulps of alpha, so w's error is a few alpha**2 * EPS.
+        assert below[1] == pytest.approx(past[1], abs=10 * _ASYMPTOTIC_CUTOFF**2 * EPS)
 
     def test_matches_quadrature_over_random_grid(self):
         rng = random.Random(321)

@@ -92,8 +92,14 @@ class TestPropagatePrior:
         assert prior.mean == pytest.approx(mc_mean, abs=1e-2)
         assert prior.variance == pytest.approx(mc_var, abs=1e-2)
 
-    def test_empty_neighborhood_falls_back_to_default(self):
-        prior = propagate_prior(model_with({}), 100, zero_table(), ALL, default_variance=0.7)
+    # A relatedness of 1e-170 is a neighbour whose squared weight underflows to 0.
+    @pytest.mark.parametrize("related", [{}, {1: 1e-170}])
+    def test_empty_neighborhood_falls_back_to_default(self, related):
+        table = zero_table()
+        for topic, rho in related.items():
+            table.set(100, topic, rho)
+        model = model_with({topic: (2.0, 0.5) for topic in related})
+        prior = propagate_prior(model, 100, table, ALL, default_variance=0.7)
         assert prior.mean == 0.0
         assert prior.variance == pytest.approx(0.7)
 
