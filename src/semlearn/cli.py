@@ -6,12 +6,11 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import fields
 
-from .data import DataError, load_events
+from .data import DataError, load_events, read_json
 from .novel import ModelConfig
 from .relatedness import METRICS, load_sr_table
 from .runs import MODELS, MODEL_SEMANTIC, analyze_run, evaluate_run, tune_run
@@ -25,22 +24,11 @@ class UsageError(Exception):
     """A bad command line or config file: exit code 1."""
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
-    return raw
-
-
 def _build_configs(config_path, sr_metric, omega):
     """Merge config file with CLI overrides into (ModelConfig, PropagationConfig)."""
-    raw = _load_config_file(config_path)
+    raw = {} if config_path is None else read_json(config_path, "config file")
+    if not isinstance(raw, dict):
+        raise DataError(f"config file {config_path} must hold a JSON object")
     model_keys = {f.name for f in fields(ModelConfig)}
     prop_keys = {f.name for f in fields(PropagationConfig)}
     unknown = set(raw) - model_keys - prop_keys

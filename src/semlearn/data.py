@@ -9,6 +9,7 @@ accepted as well.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -29,6 +30,25 @@ NOT_ENGAGED = -1
 
 class DataError(Exception):
     """Unrecoverable problem with an input file (missing, duplicate keys, bad schema)."""
+
+
+@contextlib.contextmanager
+def open_text(path, what: str, newline=None):
+    """``path`` open as UTF-8 text; a file that cannot be read or decoded is a DataError."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """The JSON value in ``path``; a file that cannot be read or parsed is a DataError."""
+    with open_text(path, what) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
 class _ParsedCells(dict):
@@ -58,10 +78,9 @@ class EngagementEvent:
 
 @dataclass
 class LearnerModel:
-    """Per-learner skill state: sparse topic -> Gaussian belief map plus counters."""
+    """Per-learner skill state: sparse topic -> Gaussian belief map and the topics seen."""
 
     skills: dict[int, Gaussian1D] = field(default_factory=dict)
-    events_seen: int = 0
     topics_seen: set[int] = field(default_factory=set)
 
 
@@ -166,7 +185,7 @@ def _parse_label(raw) -> int:
 
 
 def _iter_csv_rows(path: Path):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, "event file", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -190,7 +209,7 @@ def _row_from_csv(row: list[str], ids: dict) -> tuple[str, int, int, list[tuple[
 
 
 def _iter_jsonl_rows(path: Path):
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, "event file") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 yield line_no, line
@@ -215,7 +234,7 @@ def load_events(path, top_topics: int | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"event file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, "event file") as fh:
         head = next((line.lstrip() for line in fh if not line.isspace()), "")
     if head.startswith("{"):
         rows, parse = _iter_jsonl_rows(path), _row_from_jsonl
@@ -234,7 +253,7 @@ def load_events(path, top_topics: int | None = None) -> Dataset:
             if order_index < 0:
                 raise ValueError(f"order_index must be >= 0, got {order_index}")
             topics = _normalize_topics(pairs, report, top_topics)
-        except (ValueError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             report.malformed_rows += 1
             if report.first_malformed_line is None:
                 report.first_malformed_line = line_no

@@ -186,12 +186,9 @@ def truncated_moments_above(t: float, eps: float) -> tuple[float, float]:
         return alpha + 1.0 / alpha, 1.0 - 1.0 / (alpha * alpha)
     # erfcx(alpha/sqrt(2)) = exp(alpha^2/2) * 2 * (1 - Phi(alpha)), so the
     # hazard ratio phi(alpha)/(1 - Phi(alpha)) = sqrt(2/pi) / erfcx(...)
-    # without ever forming an underflowing tail probability.
-    denom = float(_special().erfcx(alpha / _SQRT2))
-    if math.isinf(denom):
-        # Truncation numerically inactive (t far above eps).
-        return 0.0, 0.0
-    v = _SQRT_2_OVER_PI / denom
+    # without ever forming an underflowing tail probability. Far above eps
+    # erfcx overflows to inf, and (v, w) come out (0, 0).
+    v = _SQRT_2_OVER_PI / float(_special().erfcx(alpha / _SQRT2))
     w = v * (v - alpha)
     return v, min(max(w, 0.0), 1.0)
 

@@ -173,7 +173,6 @@ def update(
             model.skills[topic_id] = Gaussian1D(new_mean, new_var)
     for topic_id, _ in event.topics:
         model.topics_seen.add(topic_id)
-    model.events_seen += 1
     return outputs
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import DataError, _ParsedCells
+from .data import DataError, _ParsedCells, open_text
 
 log = logging.getLogger(__name__)
 
@@ -39,11 +39,6 @@ class SRTable:
     metric: str
     neighbours: dict[int, dict[int, float]] = field(default_factory=dict)
 
-    def lookup(self, a: int, b: int) -> float:
-        if a == b:
-            return 1.0
-        return self.neighbours.get(a, {}).get(b, 0.0)
-
     def set(self, a: int, b: int, value: float) -> None:
         if a == b:
             return
@@ -55,7 +50,7 @@ class SRTable:
 
 
 def zero_table(metric: str = "w2v") -> SRTable:
-    """A table with no related pairs: every off-diagonal lookup is 0."""
+    """A table with no related pairs: every topic's neighbour row is empty."""
     return SRTable(metric=metric)
 
 
@@ -72,7 +67,7 @@ def load_sr_table(path, metric: str) -> SRTable:
     if not path.exists():
         raise DataError(f"SR table not found: {path}")
     table = SRTable(metric=metric)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, "SR table", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

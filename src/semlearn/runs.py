@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .data import Dataset, DataError, load_events, split_learners
+from .data import Dataset, DataError, load_events, read_json, split_learners
 from .evaluation import (
     LearnerScore,
     SESSION_FEATURES,
@@ -349,8 +349,7 @@ def evaluate_run(
 def load_grid(path, base_cfg: ModelConfig | None = None) -> list[ModelConfig]:
     """Expand a JSON grid file ({param: [values...]}) over ``base_cfg``, in file order."""
     base = asdict(base_cfg or ModelConfig())
-    with open(path, encoding="utf-8") as fh:
-        grid = json.load(fh)
+    grid = read_json(path, "grid file")
     if not isinstance(grid, dict) or not grid:
         raise DataError(f"{path}: grid file must be a non-empty JSON object")
     names = list(grid)
@@ -453,11 +452,7 @@ def tune_run(
 
 def _load_report(path) -> tuple[str, list[tuple[str, dict[str, Trace]]]]:
     """An evaluate report's data digest and (model_id, traces) per model entry, or DataError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read report {path}: {exc}") from exc
+    report = read_json(path, "report")
     try:
         data_digest = report["manifest"]["inputs"]["data"]
         entries = [(entry["learners"], entry.get("model_id")) for entry in report["models"]]

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,23 @@ BAD_SPLIT_OPTIONS = [
     ("--train-fraction", "1.5"),
     ("--train-fraction", "nan"),
 ]
+
+
+def write_unreadable(path, kind):
+    """Leave ``path`` missing, holding bad or too deep JSON or bytes that are not UTF-8,
+    or a directory."""
+    if kind == "not JSON":
+        path.write_text('{"beta": [1.0]')
+    elif kind == "not UTF-8":
+        path.write_bytes(b'{"beta": [1.0], "\xff": [1]}')
+    elif kind == "nested too deep":
+        path.write_text("[" * 100_000)
+    elif kind == "directory":
+        path.mkdir()
+    return path
+
+
+UNREADABLE = ["missing", "not JSON", "nested too deep", "not UTF-8", "directory"]
 
 
 _DATA_OPTIONS = ["--data", "--top-topics", "--sr-table", "--sr-metric"]
@@ -157,6 +175,12 @@ class TestEvaluateCommand:
         assert run(["evaluate", "--data", tmp_path / "missing.csv",
                     "--config", cfg_path]) == 1
 
+    def test_config_that_is_not_utf8_is_data_error_before_loading(self, tmp_path, capsys):
+        cfg_path = write_unreadable(tmp_path / "cfg.json", "not UTF-8")
+        assert run(["evaluate", "--data", tmp_path / "missing.csv",
+                    "--config", cfg_path]) == 2
+        assert f"cannot read config file {cfg_path}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content", ['{"beta": "a"}', '{"beta": true}', '{"beta": null}'])
     def test_non_numeric_config_is_usage_error_before_loading(self, tmp_path, content):
         cfg_path = tmp_path / "cfg.json"
@@ -241,6 +265,13 @@ class TestTuneCommand:
         grid = tmp_path / "grid.json"
         grid.write_text("{}")
         assert run(["tune", "--data", corpus["events"], "--grid", grid]) == 2
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_grid_is_data_error_before_loading(self, tmp_path, capsys, kind):
+        grid = write_unreadable(tmp_path / "grid.json", kind)
+        # The data file does not exist: loading it would fail with another message.
+        assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid]) == 2
+        assert f"data error: cannot read grid file {grid}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("values", [["a"], [0.5, True]])
     def test_non_numeric_grid_value_is_usage_error_before_loading(self, tmp_path, values):
@@ -441,6 +472,12 @@ class TestAnalyzeCommand:
                     "--sr-table", tmp_path / "missing.csv", "--out-dir", tmp_path / "x"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_report_that_is_not_utf8_is_data_error_before_loading(self, corpus, tmp_path, capsys):
+        report = write_unreadable(tmp_path / "report.json", "not UTF-8")
+        assert run(["analyze", report, "--data", corpus["events"],
+                    "--sr-table", tmp_path / "missing.csv", "--out-dir", tmp_path / "x"]) == 2
+        assert f"cannot read report {report}" in capsys.readouterr().err
+
     def test_same_model_reports_keep_their_own_columns(self, corpus, tmp_path):
         # Two baseline reports with different configs share one model id;
         # each column must read what analyzing its report alone reads.
@@ -550,6 +587,26 @@ class TestValidateData:
         assert run(["validate-data", "--data", corpus["events"], "--sr-table", sr]) == 2
         assert "SR header must start with topic_a,topic_b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["not UTF-8", "directory"])
+    def test_unreadable_event_file_exits_two(self, tmp_path, capsys, kind):
+        path = tmp_path / "events.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"learner_id,order_index,label,topics\na\xff,0,1,1:0.5\n")
+        assert run(["validate-data", "--data", path]) == 2
+        assert f"data error: cannot read event file {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["not UTF-8", "directory"])
+    def test_unreadable_sr_table_exits_two(self, corpus, tmp_path, capsys, kind):
+        sr = tmp_path / "sr.csv"
+        if kind == "directory":
+            sr.mkdir()
+        else:
+            sr.write_bytes(b"topic_a,topic_b,metric,value\n1,2,w\xff2v,0.5\n")
+        assert run(["validate-data", "--data", corpus["events"], "--sr-table", sr]) == 2
+        assert f"data error: cannot read SR table {sr}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_top_topics_below_one_is_usage_error(self, corpus, k):
         assert run(["validate-data", "--data", corpus["events"], "--top-topics", k]) == 1
@@ -604,6 +661,47 @@ def test_third_party_imports_are_the_declared_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - sys.stdlib_module_names - {"semlearn"} == declared
+
+
+# Definitions kept although nothing in src/semlearn refers to them, each with its reason.
+UNREFERENCED_ALLOWED = {
+    "_Parser.error": "argparse calls it on a bad command line",
+    "multiply": "Gaussian algebra the acceptance tests pin",
+    "divide": "Gaussian algebra the acceptance tests pin",
+    "save_events": "the acceptance tests write corpora with it",
+    "zero_table": "the acceptance tests compare against a table with no pairs",
+    "srocc_exact_permutation": "the acceptance tests check srocc's p against it",
+    "predict": "the README's pure read; perfbench/tracer.py wraps it by name",
+}
+
+
+def test_every_definition_is_referenced_in_the_package():
+    # A reference is a name or an attribute: imports (the re-exports in
+    # __init__.py) and strings (docstrings, __all__) do not count, and
+    # neither does a definition's use of itself.
+    package = Path(semlearn.__file__).resolve().parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")]
+
+    def used(node):
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    references = sum(map(used, trees), Counter())
+    owner = {
+        child: node.name
+        for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for child in node.body
+    }
+    unreferenced = sorted(
+        f"{owner[node]}.{node.name}" if node in owner else node.name
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))  # language hooks
+        and references[node.name] == used(node)[node.name]
+    )
+    assert unreferenced == sorted(UNREFERENCED_ALLOWED)
 
 
 def test_cli_import_does_not_load_the_process_pool():

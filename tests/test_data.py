@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +191,16 @@ class TestLoadJsonl:
         assert dropped == 1
         assert [(e.learner_id, e.order_index, e.label, e.topics) for e in ds.learners["a"]] == expected
 
+    def test_too_deeply_nested_line_is_a_malformed_row(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"learner_id": "a", "order_index": 0, "label": 1, "topics": [[3, 0.5]]}\n'
+            '{"learner_id": ' + "[" * 100_000 + "\n"
+        )
+        ds = load_events(path)
+        assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
+        assert ds.ingest.first_malformed_line == 2
+
     @pytest.mark.parametrize("row", ["a,1,1,1e400:0.5", "a,1e400,1,3:0.5", "a,1,1e400,3:0.5"])
     def test_csv_spelling_of_1e400_is_a_malformed_row(self, tmp_events_csv, row):
         ds = load_events(tmp_events_csv(["a,0,1,3:0.5", row]))
@@ -204,6 +215,29 @@ def test_non_finite_depth_is_a_malformed_row(tmp_path, suffix, depth):
     ds = load_events(write_events(tmp_path / f"events{suffix}", rows))
     assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
     assert ds.ingest.first_malformed_reason == f"non-finite depth {depth}"
+
+
+# A row whose learner id holds a byte that is not UTF-8, per event format.
+NOT_UTF8_ROW = {
+    ".csv": b"b\xff,0,1,3:0.5\n",
+    ".jsonl": b'{"learner_id": "b\xff", "order_index": 0, "label": 1, "topics": [[3, 0.5]]}\n',
+}
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+@pytest.mark.parametrize("good_rows", [0, 1000])
+def test_bytes_that_are_not_utf8_are_a_data_error_naming_the_file(tmp_path, suffix, good_rows):
+    # After 1000 good rows the bad byte lies past what the format sniff decodes.
+    rows = [("a", order, 1, [("3", 0.5)]) for order in range(good_rows)]
+    path = write_events(tmp_path / f"events{suffix}", rows)
+    path.write_bytes(path.read_bytes() + NOT_UTF8_ROW[suffix])
+    with pytest.raises(DataError, match=re.escape(f"cannot read event file {path}: 'utf-8'")):
+        load_events(path)
+
+
+def test_directory_is_a_data_error_naming_it(tmp_path):
+    with pytest.raises(DataError, match=re.escape(f"cannot read event file {tmp_path}")):
+        load_events(tmp_path)
 
 
 class TestMatchesReferenceParser:

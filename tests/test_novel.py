@@ -142,7 +142,6 @@ class TestUpdate:
         assert snapshot.skills[1] is not model.skills[1]
         update(model, event([(1, 0.5)], label=-1, order=1), cfg)
         assert snapshot != model
-        assert snapshot.events_seen == 1
 
     def test_repeated_engagement_shrinks_variance_monotonically(self):
         cfg = ModelConfig(dynamics_tau=0.0)
@@ -160,11 +159,10 @@ class TestUpdate:
         update(model, event([(1, 1.0)], label=-1), cfg)
         assert model.skills[1].variance < 0.4 + 0.09
 
-    def test_counters(self):
+    def test_topics_seen(self):
         cfg = ModelConfig()
         model = LearnerModel()
         update(model, event([(1, 0.5), (2, 0.5)]), cfg)
-        assert model.events_seen == 1
         assert model.topics_seen == {1, 2}
         assert set(model.skills) == {1, 2}
 
@@ -178,7 +176,6 @@ class TestUpdate:
         assert model.skills[1] is before
         assert model.skills[2].variance == cfg.beta
         assert model.topics_seen == {1, 2}
-        assert model.events_seen == 1
 
     @pytest.mark.parametrize("label", [1, -1])
     def test_single_topic_posterior_matches_grid_oracle(self, label):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from unittest.mock import patch
 
 import pytest
@@ -70,17 +71,17 @@ class TestLoadSrTable:
     def test_long_format_symmetric(self, tmp_path):
         path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,metric,value", "1,2,w2v,0.8"])
         table = load_sr_table(path, "w2v")
-        assert table.lookup(2, 1) == 0.8
-        assert table.lookup(1, 2) == 0.8
+        assert table.neighbours.get(2, {}).get(1, 0.0) == 0.8
+        assert table.neighbours.get(1, {}).get(2, 0.0) == 0.8
 
     def test_unlisted_pair_is_zero(self, tmp_path):
         path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,metric,value", "1,2,w2v,0.8"])
         table = load_sr_table(path, "w2v")
-        assert table.lookup(1, 999) == 0.0
+        assert table.neighbours.get(1, {}).get(999, 0.0) == 0.0
 
-    def test_self_lookup_is_one(self, tmp_path):
+    def test_topic_is_not_its_own_neighbour(self, tmp_path):
         path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,metric,value", "1,2,w2v,0.8"])
-        assert load_sr_table(path, "w2v").lookup(7, 7) == 1.0
+        assert 7 not in load_sr_table(path, "w2v").neighbours.get(7, {})
 
     def test_last_write_wins_on_duplicates(self, tmp_path):
         path = write_lines(
@@ -88,7 +89,7 @@ class TestLoadSrTable:
             ["topic_a,topic_b,metric,value", "1,2,w2v,0.8", "2,1,w2v,0.7"],
         )
         table = load_sr_table(path, "w2v")
-        assert table.lookup(1, 2) == 0.7
+        assert table.neighbours.get(1, {}).get(2, 0.0) == 0.7
 
     def test_values_clamped(self, tmp_path):
         path = write_lines(
@@ -96,8 +97,8 @@ class TestLoadSrTable:
             ["topic_a,topic_b,metric,value", "1,2,w2v,1.7", "1,3,w2v,-0.2"],
         )
         table = load_sr_table(path, "w2v")
-        assert table.lookup(1, 2) == 1.0
-        assert table.lookup(1, 3) == 0.0
+        assert table.neighbours.get(1, {}).get(2, 0.0) == 1.0
+        assert table.neighbours.get(1, {}).get(3, 0.0) == 0.0
 
     def test_unknown_metric_lists_available(self, tmp_path):
         path = write_lines(
@@ -111,13 +112,25 @@ class TestLoadSrTable:
             tmp_path / "sr.csv",
             ["topic_a,topic_b,mw,w2v,pmi,lm,jaccard,cp,ba", "1,2,0.1,0.2,0.3,0.4,0.5,0.6,0.7"],
         )
-        assert load_sr_table(path, "pmi").lookup(1, 2) == 0.3
-        assert load_sr_table(path, "ba").lookup(2, 1) == 0.7
+        assert load_sr_table(path, "pmi").neighbours.get(1, {}).get(2, 0.0) == 0.3
+        assert load_sr_table(path, "ba").neighbours.get(2, {}).get(1, 0.0) == 0.7
 
     def test_wide_format_unknown_metric(self, tmp_path):
         path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,mw", "1,2,0.1"])
         with pytest.raises(DataError, match="available: mw"):
             load_sr_table(path, "w2v")
+
+    @pytest.mark.parametrize("good_rows", [0, 1000])
+    def test_bytes_that_are_not_utf8_are_a_data_error_naming_the_file(self, tmp_path, good_rows):
+        rows = [f"1,{b},w2v,0.5" for b in range(2, good_rows + 2)]
+        path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,metric,value", *rows])
+        path.write_bytes(path.read_bytes() + b"1,0,w\xff2v,0.5\n")
+        with pytest.raises(DataError, match=re.escape(f"cannot read SR table {path}: 'utf-8'")):
+            load_sr_table(path, "w2v")
+
+    def test_directory_is_a_data_error_naming_it(self, tmp_path):
+        with pytest.raises(DataError, match=re.escape(f"cannot read SR table {tmp_path}")):
+            load_sr_table(tmp_path, "w2v")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -213,8 +226,9 @@ class TestLoadSrTable:
             f"{a},{b},w2v,{value}" for a, b, value in rows
         ]
         table = load_sr_table(write_lines(path, lines), "w2v")
+        neighbours = table.neighbours
         for a, b, _ in rows:
-            assert table.lookup(a, b) == table.lookup(b, a)
+            assert neighbours.get(a, {}).get(b, 0.0) == neighbours.get(b, {}).get(a, 0.0)
 
 
 class TestRelatedSeenTopics:
@@ -586,7 +600,11 @@ class TestRowWalksMatchOracles:
 
         pool = range(13)
         assert len(table) == len(pairs)
-        assert all(table.lookup(a, b) == relatedness(a, b) for a in pool for b in pool)
+        assert all(
+            table.neighbours.get(a, {}).get(b, 0.0) == relatedness(a, b)
+            for a in pool for b in pool if a != b
+        )
+        assert all(a not in table.neighbours.get(a, {}) for a in pool)
         for target in pool:
             for k in OMEGA_SIZES:
                 assert related_seen_topics(table, target, seen, k) == related_seen_brute(

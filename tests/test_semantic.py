@@ -25,7 +25,6 @@ def model_with(skills: dict[int, tuple[float, float]]) -> LearnerModel:
     for topic, (mean, var) in skills.items():
         model.skills[topic] = Gaussian1D(mean, var)
         model.topics_seen.add(topic)
-    model.events_seen = len(skills)
     return model
 
 
