@@ -67,9 +67,6 @@ def write_unreadable(path, kind):
     return path
 
 
-UNREADABLE = ["missing", "not JSON", "nested too deep", "not UTF-8", "directory"]
-
-
 _DATA_OPTIONS = ["--data", "--top-topics", "--sr-table", "--sr-metric"]
 _RUN_OPTIONS = [*_DATA_OPTIONS, "--omega", "--config", "--seed", "--train-fraction",
                 "--top-learners", "--workers", "--model", "--out-dir"]
@@ -266,7 +263,9 @@ class TestTuneCommand:
         grid.write_text("{}")
         assert run(["tune", "--data", corpus["events"], "--grid", grid]) == 2
 
-    @pytest.mark.parametrize("kind", UNREADABLE)
+    @pytest.mark.parametrize(
+        "kind", ["missing", "not JSON", "nested too deep", "not UTF-8", "directory"]
+    )
     def test_unreadable_grid_is_data_error_before_loading(self, tmp_path, capsys, kind):
         grid = write_unreadable(tmp_path / "grid.json", kind)
         # The data file does not exist: loading it would fail with another message.
@@ -589,21 +588,13 @@ class TestValidateData:
 
     @pytest.mark.parametrize("kind", ["not UTF-8", "directory"])
     def test_unreadable_event_file_exits_two(self, tmp_path, capsys, kind):
-        path = tmp_path / "events.csv"
-        if kind == "directory":
-            path.mkdir()
-        else:
-            path.write_bytes(b"learner_id,order_index,label,topics\na\xff,0,1,1:0.5\n")
+        path = write_unreadable(tmp_path / "events.csv", kind)
         assert run(["validate-data", "--data", path]) == 2
         assert f"data error: cannot read event file {path}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["not UTF-8", "directory"])
     def test_unreadable_sr_table_exits_two(self, corpus, tmp_path, capsys, kind):
-        sr = tmp_path / "sr.csv"
-        if kind == "directory":
-            sr.mkdir()
-        else:
-            sr.write_bytes(b"topic_a,topic_b,metric,value\n1,2,w\xff2v,0.5\n")
+        sr = write_unreadable(tmp_path / "sr.csv", kind)
         assert run(["validate-data", "--data", corpus["events"], "--sr-table", sr]) == 2
         assert f"data error: cannot read SR table {sr}: " in capsys.readouterr().err
 
