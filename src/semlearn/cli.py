@@ -13,7 +13,7 @@ from dataclasses import fields
 from .data import DataError, load_events, read_json
 from .novel import ModelConfig
 from .relatedness import METRICS, load_sr_table
-from .runs import MODELS, MODEL_SEMANTIC, analyze_run, evaluate_run, tune_run
+from .runs import MODELS, analyze_run, evaluate_run, tune_run
 from .semantic import PropagationConfig
 
 _OMEGA_CHOICES = ("1", "3", "5", "10", "all")
@@ -69,8 +69,6 @@ def fraction(text: str) -> float:
 def cmd_evaluate(config_path, sr_metric, omega, model, compare, **common):
     """Replay test-split learners sequentially and write JSON + CSV reports."""
     base_cfg, prop_cfg = _build_configs(config_path, sr_metric, omega)
-    if (compare or model == MODEL_SEMANTIC) and common["sr_table_path"] is None:
-        raise UsageError("--sr-table is required for the semantic model")
     out = evaluate_run(
         model=model, compare=compare, base_cfg=base_cfg, prop_cfg=prop_cfg, **common
     )
@@ -90,8 +88,6 @@ def cmd_evaluate(config_path, sr_metric, omega, model, compare, **common):
 def cmd_tune(config_path, sr_metric, omega, model, **common):
     """Grid-search hyperparameters on the train split; select by weighted F1."""
     base_cfg, prop_cfg = _build_configs(config_path, sr_metric, omega)
-    if model == MODEL_SEMANTIC and common["sr_table_path"] is None:
-        raise UsageError("--sr-table is required for the semantic model")
     out = tune_run(model=model, base_cfg=base_cfg, prop_cfg=prop_cfg, **common)
     print(f"best F1 {out['best_f1']:.4f} with config {out['best_config']}")
     for path in out["paths"]:

@@ -110,12 +110,13 @@ def prepare_run(
 
     With ``needs_table``, ``sr_metric`` overrides the propagation config's
     metric and the relatedness table loads before the events; otherwise
-    table and prop_cfg are None. ``split`` is (train_fraction, seed), applied
-    after keeping the ``top_learners`` most active learners.
+    table and prop_cfg are None. A needed table with no path is a ValueError,
+    raised before any file is read. ``split`` is (train_fraction, seed),
+    applied after keeping the ``top_learners`` most active learners.
     """
     if needs_table:
         if sr_table_path is None:
-            raise DataError("the semantic model needs --sr-table before any replay can start")
+            raise ValueError("the semantic model needs an SR table (--sr-table)")
         prop_cfg = prop_cfg or PropagationConfig()
         if sr_metric is not None:
             prop_cfg = replace(prop_cfg, sr_metric=sr_metric)
@@ -137,28 +138,24 @@ def prepare_run(
 
 # --- cohort replay (cross-learner parallel, per-learner sequential) ---
 
-_WORKER_REPLAYER = None
+
+def _propagator_type(model_id: str):
+    """The propagator class a model replays with, None for the baseline; ValueError if unknown."""
+    if model_id not in MODELS:
+        raise ValueError(f"unknown model {model_id!r}; expected one of {MODELS}")
+    return SemanticPropagator if model_id == MODEL_SEMANTIC else None
 
 
-def _build_replayer(model_id, base_cfg, table, prop_cfg):
-    if model_id == MODEL_BASELINE:
-        return lambda events: replay_session(events, base_cfg)
-    if model_id == MODEL_SEMANTIC:
-        if table is None or prop_cfg is None:
-            raise ValueError("semantic model needs an SR table and a propagation config")
-        propagator = SemanticPropagator(table, prop_cfg, base_cfg)
-        return lambda events: replay_session(events, base_cfg, propagator)
-    raise ValueError(f"unknown model {model_id!r}; expected one of {MODELS}")
+_WORKER_VARIANTS = []
 
 
-def _init_worker(model_id, base_cfg, table, prop_cfg):
-    global _WORKER_REPLAYER
-    _WORKER_REPLAYER = _build_replayer(model_id, base_cfg, table, prop_cfg)
+def _init_worker(variants):
+    global _WORKER_VARIANTS
+    _WORKER_VARIANTS = variants
 
 
-def _replay_one(item):
-    learner_id, events = item
-    return learner_id, _WORKER_REPLAYER(events)
+def _replay_one(events):
+    return [replay_session(events, cfg, propagator) for cfg, propagator in _WORKER_VARIANTS]
 
 
 def ProcessPoolExecutor(**kwargs):
@@ -174,63 +171,42 @@ def ProcessPoolExecutor(**kwargs):
 def replay_cohort(
     dataset: Dataset,
     learner_ids: list[str],
-    model_id: str,
-    base_cfg: ModelConfig,
-    table: SRTable | None = None,
-    prop_cfg: PropagationConfig | None = None,
+    variants: list[tuple[ModelConfig, SemanticPropagator | None]],
     workers: int = 1,
-) -> dict[str, Trace]:
-    """Replay each listed learner's session independently.
+) -> list[dict[str, Trace]]:
+    """Replay each listed learner's session under every (config, propagator) variant.
 
-    Output is assembled in sorted learner order, so it is identical at any
-    worker count.
+    One work item is one learner under every variant, so a call starts at
+    most one pool. Returns one {learner: trace} per variant, in sorted
+    learner order, identical at any worker count.
     """
-    items = [(lid, dataset.learners[lid]) for lid in sorted(learner_ids)]
+    learner_ids = sorted(learner_ids)
+    sessions = [dataset.learners[lid] for lid in learner_ids]
     # Import scipy.special here, before any worker forks: workers inherit it
     # instead of each importing it again, and no replayed event pays for it.
     _special()
     if workers <= 1:
-        replayer = _build_replayer(model_id, base_cfg, table, prop_cfg)
-        return {lid: replayer(events) for lid, events in items}
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(model_id, base_cfg, table, prop_cfg),
-    ) as pool:
-        return dict(pool.map(_replay_one, items, chunksize=16))
+        rows = [[replay_session(events, cfg, p) for cfg, p in variants] for events in sessions]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(variants,)
+        ) as pool:
+            rows = list(pool.map(_replay_one, sessions, chunksize=16))
+    return [
+        {lid: row[index] for lid, row in zip(learner_ids, rows)} for index in range(len(variants))
+    ]
 
 
 # --- evaluate ---
 
 
-@dataclass
-class ModelResult:
-    model_id: str
-    sr_metric: str | None
-    omega: int | None  # None = all (when sr_metric set), irrelevant otherwise
-    scores: list[LearnerScore]
-    weighted: tuple[float, float, float]
-
-
-def _run_model(dataset, learner_ids, model_id, base_cfg, table, prop_cfg, workers):
-    traces = replay_cohort(dataset, learner_ids, model_id, base_cfg, table, prop_cfg, workers)
-    scores = [score_learner(lid, trace) for lid, trace in traces.items()]
-    semantic = model_id == MODEL_SEMANTIC
-    return ModelResult(
-        model_id=model_id,
-        sr_metric=table.metric if semantic else None,
-        omega=prop_cfg.omega_size if semantic else None,
-        scores=scores,
-        weighted=aggregate(scores),
-    )
-
-
-def _model_report(result: ModelResult) -> dict:
-    precision, recall, f1 = result.weighted
+def _model_report(model_id: str, scores: list[LearnerScore], prop_cfg) -> dict:
+    """One model's report entry; prop_cfg is None for a model that does not propagate."""
+    precision, recall, f1 = aggregate(scores)
     return {
-        "model_id": result.model_id,
-        "sr_metric": result.sr_metric,
-        "omega": "all" if result.sr_metric and result.omega is None else result.omega,
+        "model_id": model_id,
+        "sr_metric": prop_cfg and prop_cfg.sr_metric,
+        "omega": prop_cfg and (prop_cfg.omega_size or "all"),
         "weighted": {"precision": precision, "recall": recall, "f1": f1},
         "learners": [
             {
@@ -242,7 +218,7 @@ def _model_report(result: ModelResult) -> dict:
                 "predictions": [p for p, _ in s.trace],
                 "labels": [l for _, l in s.trace],
             }
-            for s in sorted(result.scores, key=lambda s: s.learner_id)
+            for s in sorted(scores, key=lambda s: s.learner_id)
         ],
     }
 
@@ -280,9 +256,10 @@ def evaluate_run(
     """Replay the test split under one model (or both with compare) and write reports."""
     base_cfg = base_cfg or ModelConfig()
     models = [MODEL_BASELINE, MODEL_SEMANTIC] if compare else [model]
+    kinds = [_propagator_type(mid) for mid in models]
     dataset, table, prop_cfg, inputs = prepare_run(
         data_path,
-        needs_table=MODEL_SEMANTIC in models,
+        needs_table=any(kinds),
         sr_table_path=sr_table_path,
         sr_metric=sr_metric,
         prop_cfg=prop_cfg,
@@ -291,21 +268,33 @@ def evaluate_run(
         top_topics=top_topics,
     )
     test_ids = dataset.test_ids()
+    if compare and len(test_ids) < 2:
+        raise DataError(
+            f"the split has {len(test_ids)} test learner(s); "
+            "the paired t-test of --compare needs at least 2"
+        )
 
-    results = [
-        _run_model(dataset, test_ids, mid, base_cfg, table, prop_cfg, workers)
-        for mid in models
+    traces = replay_cohort(
+        dataset,
+        test_ids,
+        [(base_cfg, kind(table, prop_cfg, base_cfg) if kind else None) for kind in kinds],
+        workers=workers,
+    )
+    scores = [[score_learner(lid, trace) for lid, trace in column.items()] for column in traces]
+    entries = [
+        _model_report(mid, model_scores, prop_cfg if kind else None)
+        for mid, kind, model_scores in zip(models, kinds, scores)
     ]
 
     comparison = None
     if compare:
-        baseline, candidate = results
-        comparison = {"baseline": baseline.model_id, "candidate": candidate.model_id, "metrics": {}}
+        baseline, candidate = scores
+        comparison = {"baseline": models[0], "candidate": models[1], "metrics": {}}
         for metric in ("precision", "recall", "f1"):
             # Both score lists follow the same test learners in sorted order.
             t, p = paired_t_test_one_tailed(
-                [getattr(s, metric) for s in baseline.scores],
-                [getattr(s, metric) for s in candidate.scores],
+                [getattr(s, metric) for s in baseline],
+                [getattr(s, metric) for s in candidate],
             )
             comparison["metrics"][metric] = {"t": t, "p": p}
 
@@ -325,7 +314,7 @@ def evaluate_run(
         "manifest": asdict(manifest),
         "manifest_digest": digest,
         "n_test_learners": len(test_ids),
-        "models": [_model_report(r) for r in results],
+        "models": entries,
         "comparison": comparison,
     }
 
@@ -338,7 +327,10 @@ def evaluate_run(
         summary_path,
         digest,
         ["Algorithm", "SR Metric", "Prec.", "Rec.", "F1"],
-        ([r.model_id, r.sr_metric or "-", *(f"{x:.4f}" for x in r.weighted)] for r in results),
+        (
+            [e["model_id"], e["sr_metric"] or "-", *(f"{x:.4f}" for x in e["weighted"].values())]
+            for e in entries
+        ),
     )
     return {"report": report_path, "summary": summary_path, "report_obj": report}
 
@@ -386,10 +378,11 @@ def tune_run(
     Ties keep the earliest grid point. Writes the chosen config and the full
     per-point results table.
     """
+    kind = _propagator_type(model)
     configs = load_grid(grid_path, base_cfg)
     dataset, table, prop_cfg, inputs = prepare_run(
         data_path,
-        needs_table=model == MODEL_SEMANTIC,
+        needs_table=kind is not None,
         sr_table_path=sr_table_path,
         sr_metric=sr_metric,
         prop_cfg=prop_cfg,
@@ -397,11 +390,16 @@ def tune_run(
         top_learners=top_learners,
         top_topics=top_topics,
     )
-    train_ids = dataset.train_ids()
 
+    traces = replay_cohort(
+        dataset,
+        dataset.train_ids(),
+        [(cfg, kind(table, prop_cfg, cfg) if kind else None) for cfg in configs],
+        workers=workers,
+    )
     weighted = []
-    for index, cfg in enumerate(configs):
-        weighted.append(_run_model(dataset, train_ids, model, cfg, table, prop_cfg, workers).weighted)
+    for index, (cfg, by_learner) in enumerate(zip(configs, traces)):
+        weighted.append(aggregate([score_learner(lid, trace) for lid, trace in by_learner.items()]))
         log.info("grid point %d: F1=%.4f %s", index, weighted[-1][2], asdict(cfg))
     # max keeps the first of equal F1s, so ties go to the earliest grid point.
     best_index = max(range(len(configs)), key=lambda i: weighted[i][2])

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import semlearn
-from semlearn import evaluation
+from semlearn import evaluation, runs
 from semlearn.cli import main
 from semlearn.data import save_events
-from semlearn.runs import analyze_run, evaluate_run, load_grid, select_top_learners
+from semlearn.runs import analyze_run, evaluate_run, load_grid, select_top_learners, tune_run
 
 from synthetic import clustered_corpus, random_sessions, write_sr_csv
 
@@ -145,6 +145,21 @@ class TestEvaluateCommand:
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert run(["evaluate", "--data", tmp_path / "missing.csv"]) == 2
 
+    def test_compare_with_one_test_learner_is_data_error_before_replay(
+        self, corpus, tmp_path, capsys, monkeypatch
+    ):
+        def replay_cohort(*args, **kwargs):
+            raise AssertionError("a learner was replayed")
+
+        monkeypatch.setattr(runs, "replay_cohort", replay_cohort)
+        # Two learners split 1/1 at the default train fraction.
+        split = ["--data", corpus["events"], "--top-learners", "2"]
+        assert run(["evaluate", "--compare", "--sr-table", corpus["sr"], *split,
+                    "--out-dir", tmp_path / "cmp"]) == 2
+        assert "the split has 1 test learner(s)" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert run(["evaluate", *split, "--out-dir", tmp_path / "base"]) == 0
+
     def test_unknown_flag_is_usage_error(self, corpus):
         assert run(["evaluate", "--data", corpus["events"], "--bogus"]) == 1
 
@@ -257,6 +272,18 @@ class TestTuneCommand:
         selected = [r for r in rows if r.endswith(",yes")]
         assert len(selected) == 1
         assert selected[0].startswith("0,")
+
+    def test_semantic_tune_bytes_at_any_worker_count(self, corpus, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"draw_margin_eps": [0.01, 0.6]}))
+        outs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            assert run(["tune", "--model", "semantic-truelearn", "--data", corpus["events"],
+                        "--sr-table", corpus["sr"], "--grid", grid, "--workers", workers,
+                        "--out-dir", out]) == 0
+            outs.append((digest(out / "best_config.json"), digest(out / "tuning_results.csv")))
+        assert outs[0] == outs[1] == outs[2]
 
     def test_empty_grid_is_error(self, corpus, tmp_path):
         grid = tmp_path / "grid.json"
@@ -724,9 +751,64 @@ def test_pool_parent_loads_scipy_before_forking(corpus):
         "from semlearn.novel import ModelConfig\n"
         "from semlearn.runs import replay_cohort\n"
         f"ds = load_events({str(corpus['events'])!r})\n"
-        "replay_cohort(ds, ds.learner_ids()[:4], 'truelearn-novel', ModelConfig(), workers=2)"
+        "replay_cohort(ds, ds.learner_ids()[:4], [(ModelConfig(), None)], workers=2)"
     )
     assert "scipy.special" in loaded
+
+
+@pytest.mark.parametrize("command", ["evaluate", "tune"])
+def test_a_command_starts_one_pool(corpus, tmp_path, monkeypatch, command):
+    # One work item is one learner under every model or grid point.
+    starts = []
+    real = runs.ProcessPoolExecutor
+
+    def counted(**kwargs):
+        starts.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(runs, "ProcessPoolExecutor", counted)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"draw_margin_eps": [0.01, 0.6]}))
+    args = {
+        "evaluate": ["evaluate", "--compare"],
+        "tune": ["tune", "--model", "semantic-truelearn", "--grid", grid],
+    }[command]
+    assert run([*args, "--data", corpus["events"], "--sr-table", corpus["sr"], "--workers", 2,
+                "--out-dir", tmp_path / "out"]) == 0
+    assert len(starts) == 1
+
+
+def test_benchmark_tracer_finds_what_it_wraps(corpus, tmp_path):
+    # perfbench/tracer.py replaces module attributes by name and reads
+    # replay_cohort's workers by keyword; a rename here silently empties a metric.
+    tracer_path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    if not tracer_path.is_file():
+        pytest.skip("perfbench/ is not beside the tests")
+    args = ["evaluate", "--compare", "--workers", "2", "--data", str(corpus["events"]),
+            "--sr-table", str(corpus["sr"]), "--out-dir", str(tmp_path / "out")]
+    script = (
+        "import importlib, json, sys\n"
+        f"sys.path.insert(0, {str(tracer_path.parent)!r})\n"
+        "import tracer\n"
+        "names = [*tracer.RUNS_SPANS, *tracer.STEP_SPANS, ('semlearn.runs', 'ProcessPoolExecutor')]\n"
+        "missing = [n for n in names if not hasattr(importlib.import_module(n[0]), n[1])]\n"
+        "t = tracer.Tracer()\n"
+        "tracer.install(t, 'runs')\n"
+        "from semlearn.cli import main\n"
+        f"code = main({args!r})\n"
+        "replays = list(t.name_id).count(t.names.index('runs.replay_cohort'))\n"
+        "print(json.dumps({'missing': missing, 'code': code, 'replays': replays,\n"
+        "                  'counters': t.counters}))\n"
+    )
+    src = str(Path(semlearn.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    assert result["missing"] == []
+    assert result["code"] == 0
+    assert result["replays"] == 1
+    assert result["counters"]["runs.pool_starts"] == 1
+    assert "runs.replay_cohort.parallel_s" in result["counters"]
 
 
 class TestRunHelpers:
@@ -740,3 +822,15 @@ class TestRunHelpers:
         report = out["report_obj"]
         assert report["manifest_digest"]
         assert report["manifest"]["inputs"]["data"]
+
+    @pytest.mark.parametrize(
+        "model,message", [("semantic-truelearn", "needs an SR table"), ("bogus", "unknown model")]
+    )
+    def test_model_is_checked_before_the_data_is_read(self, tmp_path, model, message):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"beta": [1.0]}))
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(ValueError, match=message):
+            evaluate_run(missing, tmp_path / "out", model)
+        with pytest.raises(ValueError, match=message):
+            tune_run(missing, grid, tmp_path / "out", model)
