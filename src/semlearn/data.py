@@ -1,10 +1,10 @@
 """Event-log ingestion and the learner/event representations shared by all models.
 
-On disk an event row is ``learner_id,order_index,label,topics`` where
-``label`` is 0/1 and ``topics`` is a semicolon-joined list of
-``topic_id:depth`` pairs. In memory labels live as -1/+1. A JSON-lines
-format with the same fields (topics as ``[[topic_id, depth], ...]``) is
-accepted as well.
+On disk an event row holds the ``EVENT_FIELDS`` as CSV cells, where the
+label is 0/1 and the topics are a semicolon-joined list of ``topic_id:depth``
+pairs. In memory labels live as -1/+1. A JSON-lines format with the same
+fields (topics as ``[[topic_id, depth], ...]``) is accepted as well; its
+values are read as the text of the CSV cells they stand for.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .gaussians import Gaussian1D
 log = logging.getLogger(__name__)
 
 MAX_TOPICS_PER_EVENT = 10
+EVENT_FIELDS = ("learner_id", "order_index", "label", "topics")
 
 ENGAGED = 1
 NOT_ENGAGED = -1
@@ -47,7 +48,9 @@ def read_json(path, what: str):
     with open_text(path, what) as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        # ValueError covers JSONDecodeError and an integer past int()'s digit limit;
+        # RecursionError, a value nested too deeply.
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -139,42 +142,34 @@ class Dataset:
         return sorted(l for l, s in self.split.items() if s == "test")
 
 
-def _parse_topics_field(raw: str, ids: dict) -> list[tuple[int, float]]:
-    pairs = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        topic_str, _, depth_str = chunk.partition(":")
-        pairs.append((ids[topic_str], float(depth_str)))
-    return pairs
-
-
-def _normalize_topics(
-    pairs: list[tuple[int, float]], report: IngestReport, top_topics: int | None
+def _event_topics(
+    cells, ids: dict, report: IngestReport, top_topics: int | None
 ) -> tuple[tuple[int, float], ...]:
-    """Validate, clamp and optionally truncate one event's topic list.
+    """Parse one event's (topic id, depth) text cells into its checked topic tuple.
 
+    Every cell must parse; only the first ``top_topics`` pairs are kept.
     Raises ValueError on schema violations (duplicates, too many entries,
-    non-finite depth).
+    non-finite depth). Depths outside [0, 1] are clamped, and counted in
+    ``report`` once the topics pass.
     """
-    if top_topics is not None:
-        pairs = pairs[:top_topics]
-    if len(pairs) > MAX_TOPICS_PER_EVENT:
-        raise ValueError(f"{len(pairs)} topics exceeds the schema maximum of {MAX_TOPICS_PER_EVENT}")
-    seen_ids = set()
-    out = []
-    for topic_id, depth in pairs:
+    topics, seen_ids, clamped = [], set(), 0
+    for topic, depth in cells:
+        topic_id, depth = ids[topic], float(depth)
+        if len(topics) == top_topics:
+            continue
         if topic_id in seen_ids:
             raise ValueError(f"duplicate topic id {topic_id} within one event")
         seen_ids.add(topic_id)
-        if not math.isfinite(depth):
-            raise ValueError(f"non-finite depth {depth}")
-        if depth < 0.0 or depth > 1.0:
-            report.clamped_depths += 1
+        if not 0.0 <= depth <= 1.0:
+            if not math.isfinite(depth):
+                raise ValueError(f"non-finite depth {depth}")
+            clamped += 1
             depth = min(max(depth, 0.0), 1.0)
-        out.append((topic_id, depth))
-    return tuple(out)
+        topics.append((topic_id, depth))
+    if len(topics) > MAX_TOPICS_PER_EVENT:
+        raise ValueError(f"{len(topics)} topics exceeds the schema maximum of {MAX_TOPICS_PER_EVENT}")
+    report.clamped_depths += clamped
+    return tuple(topics)
 
 
 def _parse_label(raw) -> int:
@@ -184,92 +179,95 @@ def _parse_label(raw) -> int:
     return ENGAGED if value == 1 else NOT_ENGAGED
 
 
-def _iter_csv_rows(path: Path):
-    with open_text(path, "event file", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return
-        expected = ["learner_id", "order_index", "label", "topics"]
-        if [h.strip() for h in header] != expected:
-            raise DataError(
-                f"{path}: expected header {','.join(expected)}, got {','.join(header)}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            yield line_no, row
-
-
-def _row_from_csv(row: list[str], ids: dict) -> tuple[str, int, int, list[tuple[int, float]]]:
+def _csv_cells(row: list[str]):
+    """A CSV row's cells, its topics split lazily into (id, depth) cells."""
     if len(row) != 4:
         raise ValueError(f"expected 4 columns, got {len(row)}")
-    learner_id, order_str, label_str, topics = row
-    return learner_id, int(order_str), _parse_label(label_str), _parse_topics_field(topics, ids)
+    learner_id, order, label, topics = row
+    return learner_id, order, label, _csv_topic_cells(topics)
 
 
-def _iter_jsonl_rows(path: Path):
-    with open_text(path, "event file") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                yield line_no, line
+def _csv_topic_cells(topics: str):
+    for chunk in topics.split(";"):
+        chunk = chunk.strip()
+        if chunk:
+            topic, _, depth = chunk.partition(":")
+            yield topic, depth
 
 
-def _row_from_jsonl(line: str, ids: dict) -> tuple[str, int, int, list[tuple[int, float]]]:
+def _json_cells(line: str):
+    """A JSON-lines row as the text cells its CSV twin holds; topics stay (id, depth) pairs."""
     obj = json.loads(line)
-    # json parsed the cells (one may be a list, no dict key): ids shares one int per id.
-    topics = [(ids[int(t)], float(d)) for t, d in obj["topics"]]
-    return str(obj["learner_id"]), int(obj["order_index"]), _parse_label(obj["label"]), topics
+    learner_id, order, label, topics = (obj[name] for name in EVENT_FIELDS)
+    if type(topics) is not list or any(type(pair) is not list for pair in topics):
+        raise ValueError("topics must be a list of [topic_id, depth] pairs")
+    return str(learner_id), str(order), str(label), [(str(t), str(d)) for t, d in topics]
+
+
+def _csv_rows(fh, path: Path):
+    """(line number, row) of each non-empty CSV row after the checked header."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is not None and tuple(h.strip() for h in header) != EVENT_FIELDS:
+        raise DataError(
+            f"{path}: expected header {','.join(EVENT_FIELDS)}, got {','.join(header)}"
+        )
+    return ((line_no, row) for line_no, row in enumerate(reader, start=2) if row)
 
 
 def load_events(path, top_topics: int | None = None) -> Dataset:
     """Load an event log into a Dataset, enforcing the schema invariants.
 
     The log is JSON lines when its first non-blank character is ``{`` and
-    CSV otherwise. Malformed rows are rejected and counted (first offending
-    line reported); a duplicate (learner, order_index) pair is a hard error.
-    ``top_topics`` keeps only the first k topics of each event (file order is
-    rank order).
+    CSV otherwise; either way each row's text cells go through one parser.
+    Malformed rows are rejected and counted (first offending line reported);
+    a duplicate (learner, order_index) pair is a hard error. ``top_topics``
+    keeps only the first k topics of each event (file order is rank order).
     """
+    if top_topics is not None and top_topics < 1:
+        raise ValueError(f"top_topics must be >= 1, got {top_topics}")
     path = Path(path)
     if not path.exists():
         raise DataError(f"event file not found: {path}")
-    with open_text(path, "event file") as fh:
-        head = next((line.lstrip() for line in fh if not line.isspace()), "")
-    if head.startswith("{"):
-        rows, parse = _iter_jsonl_rows(path), _row_from_jsonl
-    else:
-        rows, parse = _iter_csv_rows(path), _row_from_csv
-
     report = IngestReport()
     # One parse and one int object per distinct topic-id cell.
     ids = _ParsedCells(int)
     learners: dict[str, list[EngagementEvent]] = {}
     seen_keys: set[tuple[str, int]] = set()
-    for line_no, raw in rows:
-        report.rows_read += 1
-        try:
-            learner_id, order_index, label, pairs = parse(raw, ids)
-            if order_index < 0:
-                raise ValueError(f"order_index must be >= 0, got {order_index}")
-            topics = _normalize_topics(pairs, report, top_topics)
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-            report.malformed_rows += 1
-            if report.first_malformed_line is None:
-                report.first_malformed_line = line_no
-                report.first_malformed_reason = str(exc)
-            continue
-        key = (learner_id, order_index)
-        if key in seen_keys:
-            raise DataError(
-                f"{path}:{line_no}: duplicate (learner_id, order_index) = {key}"
-            )
-        seen_keys.add(key)
-        if not topics:
-            report.dropped_empty_topic_events += 1
-            continue
-        event = EngagementEvent(learner_id, order_index, topics, label)
-        learners.setdefault(learner_id, []).append(event)
+    with open_text(path, "event file", newline="") as fh:
+        head = next((line for line in fh if not line.isspace()), "")
+        fh.seek(0)
+        if head.lstrip().startswith("{"):
+            rows = ((n, line) for n, line in enumerate(fh, start=1) if not line.isspace())
+            cells = _json_cells
+        else:
+            rows, cells = _csv_rows(fh, path), _csv_cells
+        for line_no, raw in rows:
+            report.rows_read += 1
+            try:
+                learner_id, order, label, topic_cells = cells(raw)
+                order_index = int(order)
+                if order_index < 0:
+                    raise ValueError(f"order_index must be >= 0, got {order_index}")
+                label = _parse_label(label)
+                topics = _event_topics(topic_cells, ids, report, top_topics)
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                report.malformed_rows += 1
+                if report.first_malformed_line is None:
+                    report.first_malformed_line = line_no
+                    report.first_malformed_reason = str(exc)
+                continue
+            key = (learner_id, order_index)
+            if key in seen_keys:
+                raise DataError(
+                    f"{path}:{line_no}: duplicate (learner_id, order_index) = {key}"
+                )
+            seen_keys.add(key)
+            if not topics:
+                report.dropped_empty_topic_events += 1
+                continue
+            event = EngagementEvent(learner_id, order_index, topics, label)
+            learners.setdefault(learner_id, []).append(event)
 
     for events in learners.values():
         events.sort(key=lambda e: e.order_index)
@@ -279,34 +277,22 @@ def load_events(path, top_topics: int | None = None) -> Dataset:
 
 def save_events(dataset: Dataset, path, fmt: str = "csv") -> None:
     """Serialize a Dataset back to disk in the same row schema as load_events."""
-    path = Path(path)
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["learner_id", "order_index", "label", "topics"])
-            for learner_id in dataset.learner_ids():
-                for ev in dataset.learners[learner_id]:
-                    topics = ";".join(f"{t}:{d}" for t, d in ev.topics)
-                    writer.writerow(
-                        [ev.learner_id, ev.order_index, 1 if ev.label == ENGAGED else 0, topics]
-                    )
-    elif fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for learner_id in dataset.learner_ids():
-                for ev in dataset.learners[learner_id]:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "learner_id": ev.learner_id,
-                                "order_index": ev.order_index,
-                                "label": 1 if ev.label == ENGAGED else 0,
-                                "topics": [[t, d] for t, d in ev.topics],
-                            }
-                        )
-                        + "\n"
-                    )
-    else:
+    if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown event format {fmt!r}")
+    rows = (
+        [ev.learner_id, ev.order_index, 1 if ev.label == ENGAGED else 0, ev.topics]
+        for learner_id in dataset.learner_ids()
+        for ev in dataset.learners[learner_id]
+    )
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(EVENT_FIELDS)
+            for *cells, topics in rows:
+                writer.writerow([*cells, ";".join(f"{t}:{d}" for t, d in topics)])
+        else:
+            for row in rows:
+                fh.write(json.dumps(dict(zip(EVENT_FIELDS, row))) + "\n")
 
 
 def split_learners(dataset: Dataset, train_fraction: float, seed: int) -> Dataset:

@@ -19,6 +19,7 @@ rule; every constant in the construction is exposed in ModelConfig.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
@@ -26,6 +27,10 @@ from .data import ENGAGED, NOT_ENGAGED, EngagementEvent, LearnerModel
 from .gaussians import Gaussian1D, _special, truncated_moments_above, truncated_moments_within
 
 Propagator = Callable[[LearnerModel, EngagementEvent], None]
+
+# The four (prediction, label) outcomes. Every trace entry is one of these
+# shared objects, so a trace held until scoring costs one list slot per event.
+_OUTCOMES = {(p, l): (p, l) for p in (ENGAGED, NOT_ENGAGED) for l in (ENGAGED, NOT_ENGAGED)}
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,8 @@ class ModelConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            # Also catches an int too large for a float, where isfinite would overflow.
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.beta <= 0.0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
@@ -194,5 +200,5 @@ def replay_session(
         if propagator is not None:
             propagator(model, event)
         _, prediction = update(model, event, cfg)
-        outcomes.append((prediction, event.label))
+        outcomes.append(_OUTCOMES[prediction, event.label])
     return outcomes

@@ -177,14 +177,16 @@ def replay_cohort(
     """Replay each listed learner's session under every (config, propagator) variant.
 
     One work item is one learner under every variant, so a call starts at
-    most one pool. Returns one {learner: trace} per variant, in sorted
-    learner order, identical at any worker count.
+    most one pool, of no more workers than learners. Returns one
+    {learner: trace} per variant, in sorted learner order, identical at any
+    worker count.
     """
     learner_ids = sorted(learner_ids)
     sessions = [dataset.learners[lid] for lid in learner_ids]
     # Import scipy.special here, before any worker forks: workers inherit it
     # instead of each importing it again, and no replayed event pays for it.
     _special()
+    workers = min(workers, len(sessions))
     if workers <= 1:
         rows = [[replay_session(events, cfg, p) for cfg, p in variants] for events in sessions]
     else:

@@ -14,7 +14,8 @@ import pytest
 import semlearn
 from semlearn import evaluation, runs
 from semlearn.cli import main
-from semlearn.data import save_events
+from semlearn.data import LearnerModel, save_events, split_learners
+from semlearn.novel import ModelConfig, update
 from semlearn.runs import analyze_run, evaluate_run, load_grid, select_top_learners, tune_run
 
 from synthetic import clustered_corpus, random_sessions, write_sr_csv
@@ -54,14 +55,16 @@ BAD_SPLIT_OPTIONS = [
 
 
 def write_unreadable(path, kind):
-    """Leave ``path`` missing, holding bad or too deep JSON or bytes that are not UTF-8,
-    or a directory."""
+    """Leave ``path`` missing, holding bad or too deep JSON, an integer too long to
+    read, or bytes that are not UTF-8, or a directory."""
     if kind == "not JSON":
         path.write_text('{"beta": [1.0]')
     elif kind == "not UTF-8":
         path.write_bytes(b'{"beta": [1.0], "\xff": [1]}')
     elif kind == "nested too deep":
         path.write_text("[" * 100_000)
+    elif kind == "too many digits":
+        path.write_text('{"beta": [1' + "0" * 5000 + "]}")
     elif kind == "directory":
         path.mkdir()
     return path
@@ -187,6 +190,13 @@ class TestEvaluateCommand:
         assert run(["evaluate", "--data", tmp_path / "missing.csv",
                     "--config", cfg_path]) == 1
 
+    def test_integer_too_large_for_a_float_is_usage_error_before_loading(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"beta": 1' + "0" * 400 + "}")
+        assert run(["evaluate", "--data", tmp_path / "missing.csv",
+                    "--config", cfg_path]) == 1
+        assert "beta must be finite" in capsys.readouterr().err
+
     def test_config_that_is_not_utf8_is_data_error_before_loading(self, tmp_path, capsys):
         cfg_path = write_unreadable(tmp_path / "cfg.json", "not UTF-8")
         assert run(["evaluate", "--data", tmp_path / "missing.csv",
@@ -291,7 +301,8 @@ class TestTuneCommand:
         assert run(["tune", "--data", corpus["events"], "--grid", grid]) == 2
 
     @pytest.mark.parametrize(
-        "kind", ["missing", "not JSON", "nested too deep", "not UTF-8", "directory"]
+        "kind", ["missing", "not JSON", "nested too deep", "too many digits", "not UTF-8",
+                 "directory"]
     )
     def test_unreadable_grid_is_data_error_before_loading(self, tmp_path, capsys, kind):
         grid = write_unreadable(tmp_path / "grid.json", kind)
@@ -304,6 +315,12 @@ class TestTuneCommand:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"beta": values}))
         assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid]) == 1
+
+    def test_integer_too_large_for_a_float_is_usage_error_before_loading(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"beta": [0.5, 1' + "0" * 400 + "]}")
+        assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid]) == 1
+        assert "beta must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_is_usage_error_before_loading(self, tmp_path, workers):
@@ -778,6 +795,45 @@ def test_a_command_starts_one_pool(corpus, tmp_path, monkeypatch, command):
     assert len(starts) == 1
 
 
+def test_pool_is_no_larger_than_the_learners_replayed(corpus, tmp_path, monkeypatch):
+    requested = []
+    real = runs.ProcessPoolExecutor
+
+    def recorded(max_workers, **kwargs):
+        # Note the request, but start no more than 2 processes.
+        requested.append(max_workers)
+        return real(max_workers=min(max_workers, 2), **kwargs)
+
+    monkeypatch.setattr(runs, "ProcessPoolExecutor", recorded)
+    outs = {}
+    for workers in (64, 1):
+        outs[workers] = tmp_path / f"w{workers}"
+        assert run(["evaluate", "--data", corpus["events"], "--workers", workers,
+                    "--out-dir", outs[workers]]) == 0
+    n_test = json.loads((outs[64] / "report.json").read_text())["n_test_learners"]
+    assert len(requested) == 1 and 2 <= requested[0] <= n_test
+    assert digest(outs[64] / "report.json") == digest(outs[1] / "report.json")
+
+
+def test_setup_probe_reports_its_stages(corpus):
+    # perfbench/setup_probe.py times setup through these runs attributes and
+    # Dataset methods; a rename here would stop the probe.
+    probe = Path(__file__).resolve().parents[1] / "perfbench" / "setup_probe.py"
+    if not probe.is_file():
+        pytest.skip("perfbench/ is not beside the tests")
+    src = str(Path(semlearn.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, str(probe), "--data", str(corpus["events"]),
+         "--sr-table", str(corpus["sr"]), "--split"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    result = json.loads(out.splitlines()[-1])
+    assert set(result) == {"import_s", "load_events_s", "load_sr_table_s", "split_learners_s",
+                           "n_events", "train_events", "test_events"}
+    assert result["n_events"] == corpus["dataset"].n_events
+    assert result["train_events"] + result["test_events"] == result["n_events"]
+
+
 def test_benchmark_tracer_finds_what_it_wraps(corpus, tmp_path):
     # perfbench/tracer.py replaces module attributes by name and reads
     # replay_cohort's workers by keyword; a rename here silently empties a metric.
@@ -822,6 +878,19 @@ class TestRunHelpers:
         report = out["report_obj"]
         assert report["manifest_digest"]
         assert report["manifest"]["inputs"]["data"]
+
+    def test_traces_share_the_four_outcome_objects(self, corpus):
+        ds = split_learners(corpus["dataset"], 0.7, 42)
+        cfg = ModelConfig()
+        expected = {}
+        for lid in ds.test_ids():
+            model = LearnerModel()
+            expected[lid] = [(update(model, ev, cfg)[1], ev.label) for ev in ds.learners[lid]]
+        for workers in (1, 2):
+            [traces] = runs.replay_cohort(ds, ds.test_ids(), [(cfg, None)], workers=workers)
+            assert traces == expected
+            # Pickle keeps shared objects shared within one returned chunk of learners.
+            assert len({id(outcome) for trace in traces.values() for outcome in trace}) <= 4
 
     @pytest.mark.parametrize(
         "model,message", [("semantic-truelearn", "needs an SR table"), ("bogus", "unknown model")]

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -129,6 +130,11 @@ class TestLoadCsv:
         ds = load_events(tmp_events_csv([f"a,0,1,{topics}"]), top_topics=3)
         assert ds.learners["a"][0].topic_ids() == (0, 1, 2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_top_topics_below_one_is_value_error(self, tmp_events_csv, k):
+        with pytest.raises(ValueError, match="top_topics must be >= 1"):
+            load_events(tmp_events_csv(["a,0,1,1:0.5;2:0.5"]), top_topics=k)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_events(tmp_path / "nope.csv")
@@ -138,6 +144,17 @@ class TestLoadCsv:
         path.write_text("user,idx,y,topics\na,0,1,1:0.5\n")
         with pytest.raises(DataError, match="header"):
             load_events(path)
+
+
+def good_row_then(path, field, value):
+    """A JSON-lines file: one good row, then one whose ``field`` is spelled ``value``."""
+    cells = {"topic": "3", "order_index": "1", "label": "1", field: value}
+    path.write_text(
+        '{"learner_id": "a", "order_index": 0, "label": 1, "topics": [[3, 0.5]]}\n'
+        f'{{"learner_id": "a", "order_index": {cells["order_index"]}, '
+        f'"label": {cells["label"]}, "topics": [[{cells["topic"]}, 0.5]]}}\n'
+    )
+    return path
 
 
 class TestLoadJsonl:
@@ -176,14 +193,7 @@ class TestLoadJsonl:
     @pytest.mark.parametrize("number", ["1e400", "Infinity", "-1e400"])
     def test_infinite_number_is_a_malformed_row(self, tmp_path, field, number):
         # json reads these as float infinities, and int() of one overflows.
-        cells = {"topic": "3", "order_index": "1", "label": "1"}
-        cells[field] = number
-        path = tmp_path / "events.jsonl"
-        path.write_text(
-            '{"learner_id": "a", "order_index": 0, "label": 1, "topics": [[3, 0.5]]}\n'
-            f'{{"learner_id": "a", "order_index": {cells["order_index"]}, '
-            f'"label": {cells["label"]}, "topics": [[{cells["topic"]}, 0.5]]}}\n'
-        )
+        path = good_row_then(tmp_path / "events.jsonl", field, number)
         ds = load_events(path)
         assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
         assert ds.ingest.first_malformed_line == 2
@@ -206,6 +216,93 @@ class TestLoadJsonl:
         ds = load_events(tmp_events_csv(["a,0,1,3:0.5", row]))
         assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
         assert ds.ingest.first_malformed_line == 3
+
+
+    @pytest.mark.parametrize("field,value", [
+        ("order_index", "1.9"), ("label", "0.9"), ("topic", "true"), ("topic", "2.7"),
+    ])
+    def test_value_its_csv_twin_rejects_is_a_malformed_row(self, tmp_path, field, value):
+        # int() of these JSON values would give 1, 0, 1 and 2; their CSV cells do not parse.
+        ds = load_events(good_row_then(tmp_path / "events.jsonl", field, value))
+        assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
+        assert ds.ingest.first_malformed_line == 2
+
+    @pytest.mark.parametrize("topics", [
+        # Each pair is one id cell and one depth cell: a ";" or ":" splits nothing.
+        [[1, "0.5;2:0.7"]], [[1, "0.5:0.7"]], [["1;2", 0.5]], [["1:2", 0.5]],
+        # Unpacking "30" would give the pair ("3", "0").
+        ["30"], {"30": 0.5}, "30", [[3, 0.5], "71"],
+    ])
+    def test_topics_that_are_not_id_and_depth_pairs_are_a_malformed_row(self, tmp_path, topics):
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            json.dumps({"learner_id": "a", "order_index": 0, "label": 1, "topics": topics})
+            + "\n"
+        )
+        ds = load_events(path)
+        assert (ds.ingest.rows_read, ds.ingest.malformed_rows, ds.n_events) == (1, 1, 0)
+
+
+# JSON values for one cell, each also written as its str() in the CSV twin.
+ODD_INTEGERS = st.one_of(
+    st.integers(-2, 2), st.booleans(), st.sampled_from([0.0, 1.0, 2.0, 1.9, 0.9, 2.7])
+)
+WITH_SEPARATOR = st.sampled_from(["1;2", "1:2", "a;b:c"])
+
+
+@st.composite
+def json_value_rows(draw):
+    """Rows of JSON values, (learner, order, label, [(topic id, depth)]); about one cell
+    in six is a value other than a plain integer (or number, for a depth)."""
+
+    def cell(plain, odd):
+        return draw(odd if draw(st.integers(0, 5)) == 0 else plain)
+
+    integer = st.one_of(st.integers(0, 999), st.integers(0, 999).map(str))
+    depth = st.one_of(st.floats(-0.5, 1.5), st.integers(0, 1))
+    odd_depth = st.one_of(st.sampled_from(["0", "0.5", "1e-3"]), st.integers(2, 3), st.booleans())
+    return [
+        (
+            cell(st.sampled_from(["a", "b"]), st.one_of(ODD_INTEGERS, WITH_SEPARATOR)),
+            cell(integer, st.one_of(ODD_INTEGERS, WITH_SEPARATOR)),
+            cell(st.sampled_from([0, 1, "0", "1"]), st.one_of(ODD_INTEGERS, WITH_SEPARATOR)),
+            [(cell(integer, ODD_INTEGERS), cell(depth, odd_depth))
+             for _ in range(draw(st.integers(0, 4)))],
+        )
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+
+
+def load_outcome(path):
+    """The loaded (learner, order, label, topics) rows and counters, or DataError."""
+    try:
+        ds = load_events(path)
+    except DataError:
+        return DataError
+    report = ds.ingest
+    return (
+        [(e.learner_id, e.order_index, e.label, e.topics) for lid in ds.learner_ids()
+         for e in ds.learners[lid]],
+        (report.malformed_rows, report.clamped_depths, report.dropped_empty_topic_events),
+    )
+
+
+class TestOneGrammar:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=json_value_rows())
+    def test_json_values_load_as_their_csv_cells(self, tmp_path_factory, rows):
+        folder = tmp_path_factory.mktemp("grammar")
+        jsonl, csv_path = folder / "events.jsonl", folder / "events.csv"
+        jsonl.write_text("".join(
+            json.dumps({"learner_id": l, "order_index": o, "label": b, "topics": topics}) + "\n"
+            for l, o, b, topics in rows
+        ))
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["learner_id", "order_index", "label", "topics"])
+            for l, o, b, topics in rows:
+                writer.writerow([l, o, b, ";".join(f"{t}:{d}" for t, d in topics)])
+        assert load_outcome(jsonl) == load_outcome(csv_path)
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
