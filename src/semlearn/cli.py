@@ -24,8 +24,8 @@ class UsageError(Exception):
     """A bad command line or config file: exit code 1."""
 
 
-def _build_configs(config_path, sr_metric, omega):
-    """Merge config file with CLI overrides into (ModelConfig, PropagationConfig)."""
+def _build_configs(config_path, omega):
+    """The run functions' base_cfg and prop_cfg: the config file, with --omega applied."""
     raw = {} if config_path is None else read_json(config_path, "config file")
     if not isinstance(raw, dict):
         raise DataError(f"config file {config_path} must hold a JSON object")
@@ -36,12 +36,9 @@ def _build_configs(config_path, sr_metric, omega):
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     base_cfg = ModelConfig.from_dict({k: v for k, v in raw.items() if k in model_keys})
     prop_raw = {k: v for k, v in raw.items() if k in prop_keys}
-    if sr_metric is not None:
-        prop_raw["sr_metric"] = sr_metric
     if omega is not None:
         prop_raw["omega_size"] = None if omega == "all" else int(omega)
-    prop_cfg = PropagationConfig.from_dict(prop_raw)
-    return base_cfg, prop_cfg
+    return {"base_cfg": base_cfg, "prop_cfg": PropagationConfig.from_dict(prop_raw)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,12 +63,9 @@ def fraction(text: str) -> float:
     return value
 
 
-def cmd_evaluate(config_path, sr_metric, omega, model, compare, **common):
+def cmd_evaluate(config_path, omega, **options):
     """Replay test-split learners sequentially and write JSON + CSV reports."""
-    base_cfg, prop_cfg = _build_configs(config_path, sr_metric, omega)
-    out = evaluate_run(
-        model=model, compare=compare, base_cfg=base_cfg, prop_cfg=prop_cfg, **common
-    )
+    out = evaluate_run(**options, **_build_configs(config_path, omega))
     for entry in out["report_obj"]["models"]:
         weighted = entry["weighted"]
         print(
@@ -85,10 +79,9 @@ def cmd_evaluate(config_path, sr_metric, omega, model, compare, **common):
     print(f"wrote {out['report']} and {out['summary']}")
 
 
-def cmd_tune(config_path, sr_metric, omega, model, **common):
+def cmd_tune(config_path, omega, **options):
     """Grid-search hyperparameters on the train split; select by weighted F1."""
-    base_cfg, prop_cfg = _build_configs(config_path, sr_metric, omega)
-    out = tune_run(model=model, base_cfg=base_cfg, prop_cfg=prop_cfg, **common)
+    out = tune_run(**options, **_build_configs(config_path, omega))
     print(f"best F1 {out['best_f1']:.4f} with config {out['best_config']}")
     for path in out["paths"]:
         print(f"wrote {path}")

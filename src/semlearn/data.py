@@ -201,6 +201,9 @@ def _json_cells(line: str):
     learner_id, order, label, topics = (obj[name] for name in EVENT_FIELDS)
     if type(topics) is not list or any(type(pair) is not list for pair in topics):
         raise ValueError("topics must be a list of [topic_id, depth] pairs")
+    # type(), not isinstance(): JSON true is a bool, which is an int.
+    if type(learner_id) not in (str, int):
+        raise ValueError(f"learner_id must be a string or an integer, got {learner_id!r}")
     return str(learner_id), str(order), str(label), [(str(t), str(d)) for t, d in topics]
 
 

@@ -240,13 +240,21 @@ def recall_by_event_index(traces: dict[str, Trace]) -> list[tuple[int, float]]:
     over events 1..n; the series ends at the longest trace.
     """
     series: list[tuple[int, float]] = []
-    ordered = [traces[k] for k in sorted(traces)]
-    for n in range(1, max(map(len, ordered), default=0) + 1):
-        recalls = [precision_recall_f1(trace[:n])[1] for trace in ordered if len(trace) >= n]
+    # [trace, true positives, positive labels] of each learner still in the series,
+    # in sorted learner order; the counts run on, so each event is read once.
+    active = [[traces[k], 0, 0] for k in sorted(traces) if traces[k]]
+    n = 0
+    while active:
+        n += 1
         total = 0.0
-        for recall in recalls:  # not sum(): see aggregate
-            total += recall
-        series.append((n, total / len(recalls)))
+        for counts in active:  # left to right, not sum(): see aggregate
+            prediction, label = counts[0][n - 1]
+            if label == ENGAGED:
+                counts[1] += prediction == ENGAGED
+                counts[2] += 1
+            total += counts[1] / counts[2] if counts[2] else 0.0
+        series.append((n, total / len(active)))
+        active = [counts for counts in active if len(counts[0]) > n]
     return series
 
 

@@ -95,45 +95,83 @@ def select_top_learners(dataset: Dataset, n: int) -> Dataset:
     )
 
 
-def prepare_run(
-    data_path,
-    *,
-    needs_table: bool,
-    sr_table_path=None,
-    sr_metric: str | None = None,
-    prop_cfg: PropagationConfig | None = None,
-    split: tuple[float, int] | None = None,
-    top_learners: int | None = None,
-    top_topics: int | None = None,
-) -> tuple[Dataset, SRTable | None, PropagationConfig | None, dict[str, str]]:
-    """Load a run's inputs: (dataset, table, prop_cfg, input digests).
+@dataclass(frozen=True)
+class RunSpec:
+    """The settings that shape a run's outputs, built once per run.
 
-    With ``needs_table``, ``sr_metric`` overrides the propagation config's
-    metric and the relatedness table loads before the events; otherwise
-    table and prop_cfg are None. A needed table with no path is a ValueError,
-    raised before any file is read. ``split`` is (train_fraction, seed),
-    applied after keeping the ``top_learners`` most active learners.
+    The evaluate and tune manifests record every field but ``top_topics``,
+    the paths as their files' digests.
     """
-    if needs_table:
-        if sr_table_path is None:
-            raise ValueError("the semantic model needs an SR table (--sr-table)")
+
+    data_path: str | Path
+    sr_table_path: str | Path | None = None
+    model_config: ModelConfig = ModelConfig()
+    propagation_config: PropagationConfig = PropagationConfig()
+    seed: int = 42
+    train_fraction: float = 0.7
+    top_learners: int | None = None
+    top_topics: int | None = None
+
+    @classmethod
+    def of(cls, data_path, *, sr_metric=None, base_cfg=None, prop_cfg=None, **settings):
+        """A spec from the run functions' keywords; ``sr_metric`` overrides prop_cfg's metric."""
         prop_cfg = prop_cfg or PropagationConfig()
         if sr_metric is not None:
             prop_cfg = replace(prop_cfg, sr_metric=sr_metric)
-        table = load_sr_table(sr_table_path, prop_cfg.sr_metric)
-    else:
-        table, prop_cfg = None, None
+        model_config = base_cfg or ModelConfig()
+        return cls(data_path, model_config=model_config, propagation_config=prop_cfg, **settings)
 
-    dataset = load_events(data_path, top_topics=top_topics)
-    if top_learners is not None:
-        dataset = select_top_learners(dataset, top_learners)
-    if split is not None:
-        dataset = split_learners(dataset, *split)
+    def manifest(self, command, models, inputs, outputs) -> RunManifest:
+        """The evaluate or tune manifest of a run of ``models`` under this spec."""
+        return RunManifest(
+            command=command,
+            models=models,
+            inputs=inputs,
+            outputs=outputs,
+            model_config=asdict(self.model_config),
+            propagation_config=(
+                asdict(self.propagation_config) if MODEL_SEMANTIC in models else None
+            ),
+            seed=self.seed,
+            train_fraction=self.train_fraction,
+            top_learners=self.top_learners,
+        )
 
-    inputs = {"data": file_digest(data_path)}
+
+def prepare_run(
+    spec: RunSpec, *, needs_table: bool, split: bool
+) -> tuple[Dataset, SRTable | None, dict[str, str]]:
+    """Load a run's inputs: (dataset, table, input digests).
+
+    With ``needs_table`` the relatedness table loads, under the spec's metric,
+    before the events; otherwise the table is None. A needed table with no
+    path is a ValueError, raised before any file is read. With ``split`` the
+    spec's seed and train fraction split the learners, after keeping its
+    ``top_learners`` most active ones.
+    """
+    table = None
     if needs_table:
-        inputs["sr_table"] = file_digest(sr_table_path)
-    return dataset, table, prop_cfg, inputs
+        if spec.sr_table_path is None:
+            raise ValueError("the semantic model needs an SR table (--sr-table)")
+        table = load_sr_table(spec.sr_table_path, spec.propagation_config.sr_metric)
+
+    dataset = load_events(spec.data_path, top_topics=spec.top_topics)
+    if spec.top_learners is not None:
+        dataset = select_top_learners(dataset, spec.top_learners)
+    if split:
+        dataset = split_learners(dataset, spec.train_fraction, spec.seed)
+
+    inputs = {"data": file_digest(spec.data_path)}
+    if needs_table:
+        inputs["sr_table"] = file_digest(spec.sr_table_path)
+    return dataset, table, inputs
+
+
+def _output_paths(out_dir, manifest: RunManifest) -> list[Path]:
+    """The manifest's output files under ``out_dir``, which is created if missing."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return [out_dir / name for name in manifest.outputs]
 
 
 # --- cohort replay (cross-learner parallel, per-learner sequential) ---
@@ -240,35 +278,17 @@ def _write_csv(path: Path, digest: str, header: list[str], rows, *notes: str) ->
 
 
 def evaluate_run(
-    data_path,
-    out_dir,
-    model: str = MODEL_BASELINE,
-    *,
-    sr_table_path=None,
-    sr_metric: str | None = None,
-    base_cfg: ModelConfig | None = None,
-    prop_cfg: PropagationConfig | None = None,
-    seed: int = 42,
-    train_fraction: float = 0.7,
-    top_learners: int | None = None,
-    compare: bool = False,
-    workers: int = 1,
-    top_topics: int | None = None,
+    data_path, out_dir, model: str = MODEL_BASELINE, *, compare=False, workers=1, **settings
 ) -> dict:
-    """Replay the test split under one model (or both with compare) and write reports."""
-    base_cfg = base_cfg or ModelConfig()
+    """Replay the test split under one model (or both with compare) and write reports.
+
+    ``settings`` are ``RunSpec.of``'s keywords.
+    """
+    spec = RunSpec.of(data_path, **settings)
+    base_cfg, prop_cfg = spec.model_config, spec.propagation_config
     models = [MODEL_BASELINE, MODEL_SEMANTIC] if compare else [model]
     kinds = [_propagator_type(mid) for mid in models]
-    dataset, table, prop_cfg, inputs = prepare_run(
-        data_path,
-        needs_table=any(kinds),
-        sr_table_path=sr_table_path,
-        sr_metric=sr_metric,
-        prop_cfg=prop_cfg,
-        split=(train_fraction, seed),
-        top_learners=top_learners,
-        top_topics=top_topics,
-    )
+    dataset, table, inputs = prepare_run(spec, needs_table=any(kinds), split=True)
     test_ids = dataset.test_ids()
     if compare and len(test_ids) < 2:
         raise DataError(
@@ -300,17 +320,7 @@ def evaluate_run(
             )
             comparison["metrics"][metric] = {"t": t, "p": p}
 
-    manifest = RunManifest(
-        command="evaluate",
-        models=models,
-        model_config=asdict(base_cfg),
-        propagation_config=asdict(prop_cfg) if prop_cfg else None,
-        seed=seed,
-        train_fraction=train_fraction,
-        top_learners=top_learners,
-        inputs=inputs,
-        outputs=[REPORT_FILENAME, SUMMARY_FILENAME],
-    )
+    manifest = spec.manifest("evaluate", models, inputs, [REPORT_FILENAME, SUMMARY_FILENAME])
     digest = manifest.digest()
     report = {
         "manifest": asdict(manifest),
@@ -320,10 +330,7 @@ def evaluate_run(
         "comparison": comparison,
     }
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / REPORT_FILENAME
-    summary_path = out_dir / SUMMARY_FILENAME
+    report_path, summary_path = _output_paths(out_dir, manifest)
     write_json_report(report, report_path)
     _write_csv(
         summary_path,
@@ -360,43 +367,23 @@ def load_grid(path, base_cfg: ModelConfig | None = None) -> list[ModelConfig]:
 
 
 def tune_run(
-    data_path,
-    grid_path,
-    out_dir,
-    model: str = MODEL_BASELINE,
-    *,
-    sr_table_path=None,
-    sr_metric: str | None = None,
-    base_cfg: ModelConfig | None = None,
-    prop_cfg: PropagationConfig | None = None,
-    seed: int = 42,
-    train_fraction: float = 0.7,
-    top_learners: int | None = None,
-    workers: int = 1,
-    top_topics: int | None = None,
+    data_path, grid_path, out_dir, model: str = MODEL_BASELINE, *, workers=1, **settings
 ) -> dict:
     """Grid-search hyperparameters on the train split, selecting by weighted F1.
 
     Ties keep the earliest grid point. Writes the chosen config and the full
-    per-point results table.
+    per-point results table. ``settings`` are ``RunSpec.of``'s keywords; the
+    spec's model config is the base of every grid point.
     """
+    spec = RunSpec.of(data_path, **settings)
     kind = _propagator_type(model)
-    configs = load_grid(grid_path, base_cfg)
-    dataset, table, prop_cfg, inputs = prepare_run(
-        data_path,
-        needs_table=kind is not None,
-        sr_table_path=sr_table_path,
-        sr_metric=sr_metric,
-        prop_cfg=prop_cfg,
-        split=(train_fraction, seed),
-        top_learners=top_learners,
-        top_topics=top_topics,
-    )
+    configs = load_grid(grid_path, spec.model_config)
+    dataset, table, inputs = prepare_run(spec, needs_table=kind is not None, split=True)
 
     traces = replay_cohort(
         dataset,
         dataset.train_ids(),
-        [(cfg, kind(table, prop_cfg, cfg) if kind else None) for cfg in configs],
+        [(cfg, kind(table, spec.propagation_config, cfg) if kind else None) for cfg in configs],
         workers=workers,
     )
     weighted = []
@@ -408,23 +395,11 @@ def tune_run(
     best_cfg, best_f1 = configs[best_index], weighted[best_index][2]
 
     inputs["grid"] = file_digest(grid_path)
-    manifest = RunManifest(
-        command="tune",
-        models=[model],
-        model_config=asdict(best_cfg),
-        propagation_config=asdict(prop_cfg) if prop_cfg else None,
-        seed=seed,
-        train_fraction=train_fraction,
-        top_learners=top_learners,
-        inputs=inputs,
-        outputs=[BEST_CONFIG_FILENAME, TUNING_FILENAME],
+    manifest = replace(spec, model_config=best_cfg).manifest(
+        "tune", [model], inputs, [BEST_CONFIG_FILENAME, TUNING_FILENAME]
     )
     digest = manifest.digest()
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    best_path = out_dir / BEST_CONFIG_FILENAME
-    tuning_path = out_dir / TUNING_FILENAME
+    best_path, tuning_path = _output_paths(out_dir, manifest)
     write_json_report(
         {"manifest_digest": digest, "manifest": asdict(manifest), "config": asdict(best_cfg)},
         best_path,
@@ -512,13 +487,10 @@ def analyze_run(
     Session features are model-independent, so they are computed once.
     """
     reports = [_load_report(p) for p in report_paths]
-    dataset, table, _, inputs = prepare_run(
-        data_path,
-        needs_table=True,
-        sr_table_path=sr_table_path,
-        sr_metric=sr_metric,
-        top_topics=top_topics,
+    spec = RunSpec.of(
+        data_path, sr_table_path=sr_table_path, sr_metric=sr_metric, top_topics=top_topics
     )
+    dataset, table, inputs = prepare_run(spec, needs_table=True, split=False)
     for path, (data_digest, _) in zip(report_paths, reports):
         if data_digest != inputs["data"]:
             raise DataError(
@@ -561,11 +533,7 @@ def analyze_run(
         outputs=[SROCC_FILENAME, RECALL_SERIES_FILENAME],
     )
     digest = manifest.digest()
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    srocc_path = out_dir / SROCC_FILENAME
-    series_path = out_dir / RECALL_SERIES_FILENAME
+    srocc_path, series_path = _output_paths(out_dir, manifest)
     _write_csv(
         srocc_path,
         digest,

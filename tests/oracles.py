@@ -223,6 +223,26 @@ def local_connectivity_brute(nodes, edges, s, t) -> int:
     raise ValueError("s and t are adjacent")
 
 
+def recall_series_brute(traces) -> list[tuple[int, float]]:
+    """Mean recall over each learner's first n events, for n = 1 to the longest trace.
+
+    Every prefix is recounted from scratch, and the learners with at least n
+    events are added left to right in sorted order.
+    """
+    ordered = [traces[k] for k in sorted(traces)]
+    series = []
+    for n in range(1, max(map(len, ordered), default=0) + 1):
+        total, count = 0.0, 0
+        for trace in ordered:
+            if len(trace) >= n:
+                predictions_on_positives = [p for p, label in trace[:n] if label == 1]
+                hits = predictions_on_positives.count(1)
+                total += hits / len(predictions_on_positives) if predictions_on_positives else 0.0
+                count += 1
+        series.append((n, total / count))
+    return series
+
+
 def related_seen_brute(relatedness, target, seen, k=None) -> list[tuple[int, float]]:
     """Scan every seen topic, keep relatedness > 0, strongest first, ties to the lower id."""
     scored = [(t, rho) for t in seen if t != target and (rho := relatedness(target, t)) > 0.0]

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import hashlib
@@ -7,16 +8,20 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import semlearn
 from semlearn import evaluation, runs
-from semlearn.cli import main
+from semlearn.cli import _parser, main
 from semlearn.data import LearnerModel, save_events, split_learners
 from semlearn.novel import ModelConfig, update
-from semlearn.runs import analyze_run, evaluate_run, load_grid, select_top_learners, tune_run
+from semlearn.runs import (
+    RunSpec, analyze_run, evaluate_run, load_grid, select_top_learners, tune_run,
+)
+from semlearn.semantic import PropagationConfig
 
 from synthetic import clustered_corpus, random_sessions, write_sr_csv
 
@@ -903,3 +908,181 @@ class TestRunHelpers:
             evaluate_run(missing, tmp_path / "out", model)
         with pytest.raises(ValueError, match=message):
             tune_run(missing, grid, tmp_path / "out", model)
+
+
+def canonical_digest(manifest):
+    """The sha256 of a manifest's canonical JSON, computed here rather than by RunManifest."""
+    canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+MODEL_CONFIG = {"beta": 0.5, "beta_perf": 0.5, "decision_threshold": 0.5,
+                "depth_skill_level": 0.0, "draw_margin_eps": 0.3, "dynamics_tau": 0.0}
+COMPARE_OPTIONS = ["--seed", "7", "--omega", "3", "--train-fraction", "0.6",
+                   "--top-learners", "20", "--sr-metric", "w2v"]
+COMPARE_CONFIG = {"draw_margin_eps": 0.6, "mixing_mode": "inverse_standard_error"}
+
+
+class TestManifests:
+    """The four commands' manifests as literals, so that no change to how they are built
+    moves a byte. Input digests depend on where the corpus lies: only their names are pinned."""
+
+    def check(self, manifest, digest, expected):
+        assert {**manifest, "inputs": sorted(manifest["inputs"])} == expected
+        assert digest == canonical_digest(manifest)
+
+    def test_evaluate_baseline(self, corpus, tmp_path):
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", tmp_path]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        self.check(report["manifest"], report["manifest_digest"], {
+            "command": "evaluate", "inputs": ["data"], "model_config": MODEL_CONFIG,
+            "models": ["truelearn-novel"], "outputs": ["report.json", "summary.csv"],
+            "package_version": "0.1.0", "propagation_config": None, "seed": 42,
+            "top_learners": None, "train_fraction": 0.7,
+        })
+
+    def test_evaluate_compare(self, corpus, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(COMPARE_CONFIG))
+        assert run(["evaluate", "--compare", "--data", corpus["events"], "--sr-table", corpus["sr"],
+                    "--config", cfg, *COMPARE_OPTIONS, "--out-dir", tmp_path / "out"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        self.check(report["manifest"], report["manifest_digest"], {
+            "command": "evaluate", "inputs": ["data", "sr_table"],
+            "model_config": {**MODEL_CONFIG, "draw_margin_eps": 0.6},
+            "models": ["truelearn-novel", "semantic-truelearn"],
+            "outputs": ["report.json", "summary.csv"], "package_version": "0.1.0",
+            "propagation_config": {"mixing_mode": "inverse_standard_error", "omega_size": 3,
+                                   "sr_metric": "w2v", "variance_source": "source_skill"},
+            "seed": 7, "top_learners": 20, "train_fraction": 0.6,
+        })
+
+    def test_tune(self, corpus, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"draw_margin_eps": [0.01, 0.6]}))
+        assert run(["tune", "--model", "semantic-truelearn", "--data", corpus["events"],
+                    "--sr-table", corpus["sr"], "--grid", grid, "--out-dir", tmp_path / "out"]) == 0
+        best = json.loads((tmp_path / "out" / "best_config.json").read_text())
+        self.check(best["manifest"], best["manifest_digest"], {
+            "command": "tune", "inputs": ["data", "grid", "sr_table"],
+            "model_config": {**MODEL_CONFIG, "draw_margin_eps": 0.6},
+            "models": ["semantic-truelearn"],
+            "outputs": ["best_config.json", "tuning_results.csv"], "package_version": "0.1.0",
+            "propagation_config": {"mixing_mode": "semantic_relatedness", "omega_size": None,
+                                   "sr_metric": "w2v", "variance_source": "source_skill"},
+            "seed": 42, "top_learners": None, "train_fraction": 0.7,
+        })
+
+    def test_analyze(self, corpus, tmp_path):
+        # analyze writes only the digest, so the test rebuilds the manifest it stands for.
+        report = tmp_path / "base" / "report.json"
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", report.parent]) == 0
+        assert run(["analyze", report, "--data", corpus["events"], "--sr-table", corpus["sr"],
+                    "--out-dir", tmp_path / "out"]) == 0
+        manifest = {
+            "command": "analyze",
+            "inputs": {"data": digest(corpus["events"]), "sr_table": digest(corpus["sr"]),
+                       "report_0": digest(report)},
+            "model_config": {}, "models": ["truelearn-novel"],
+            "outputs": ["srocc.csv", "recall_by_event.csv"], "package_version": "0.1.0",
+            "propagation_config": None, "seed": None, "top_learners": None,
+            "train_fraction": None,
+        }
+        for name in manifest["outputs"]:
+            first_line = (tmp_path / "out" / name).read_text().splitlines()[0]
+            assert first_line == f"# manifest_digest={canonical_digest(manifest)}"
+
+    def test_cli_and_evaluate_run_write_the_same_report(self, corpus, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(COMPARE_CONFIG))
+        assert run(["evaluate", "--compare", "--data", corpus["events"], "--sr-table", corpus["sr"],
+                    "--config", cfg, *COMPARE_OPTIONS, "--out-dir", tmp_path / "cli"]) == 0
+        evaluate_run(
+            corpus["events"], tmp_path / "api", compare=True, sr_table_path=corpus["sr"],
+            sr_metric="w2v", base_cfg=ModelConfig(draw_margin_eps=0.6),
+            prop_cfg=PropagationConfig(omega_size=3, mixing_mode="inverse_standard_error"),
+            seed=7, train_fraction=0.6, top_learners=20,
+        )
+        assert (tmp_path / "cli" / "report.json").read_bytes() == (
+            tmp_path / "api" / "report.json"
+        ).read_bytes()
+
+
+# RunSpec fields that change a run's outputs but not its manifest, each with its reason.
+# Recording them changes every output digest, perfbench/reference.json included.
+MANIFEST_GAPS = {
+    "top_topics": "the evaluate and tune manifests do not record --top-topics yet",
+    "analyze sr_metric": "analyze records its inputs' digests only, not the metric of the table",
+}
+
+# Run-command options that are not RunSpec fields, each with where it goes instead.
+RUN_ARGUMENTS = {
+    "workers": "the pool size; outputs are the same bytes at any worker count",
+    "model": "the model evaluate or tune replays, recorded as the manifest's models",
+    "compare": "evaluate replays both models, recorded as the manifest's models",
+    "out_dir": "where the outputs go",
+    "grid_path": "tune's grid, recorded as its input digest",
+    "reports": "analyze's reports, recorded as its input digests",
+    "config_path": "feeds base_cfg and prop_cfg",
+    "omega": "feeds prop_cfg",
+    "sr_metric": "overrides prop_cfg's metric in RunSpec.of",
+}
+
+
+class TestRunSpec:
+    def test_every_run_option_is_a_spec_field_or_a_listed_argument(self):
+        commands = next(
+            action for action in _parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        spec_fields = {f.name for f in fields(RunSpec)}
+        dests = {
+            action.dest for name in ("evaluate", "tune", "analyze")
+            for action in commands[name]._actions if action.dest != "help"
+        }
+        assert dests - spec_fields == set(RUN_ARGUMENTS)
+        # The configs come from --config, --omega and --sr-metric, the rest by name.
+        assert spec_fields - dests == {"model_config", "propagation_config"}
+
+    def test_every_spec_field_is_recorded_or_a_listed_gap(self, corpus, tmp_path):
+        twin = tmp_path / "events.jsonl"  # the same events in other bytes
+        save_events(corpus["dataset"], twin, "jsonl")
+        variants = {
+            "data_path": {"data_path": twin},
+            "sr_table_path": {"sr_table_path": corpus["zero_sr"]},
+            "model_config": {"base_cfg": ModelConfig(beta=1.0)},
+            "propagation_config": {"prop_cfg": PropagationConfig(omega_size=3)},
+            "seed": {"seed": 7},
+            "train_fraction": {"train_fraction": 0.5},
+            "top_learners": {"top_learners": 20},
+            "top_topics": {"top_topics": 1},
+        }
+        assert set(variants) == {f.name for f in fields(RunSpec)}
+
+        def report(name, data_path=corpus["events"], **settings):
+            settings = {"sr_table_path": corpus["sr"], **settings}
+            out = evaluate_run(data_path, tmp_path / name, compare=True, **settings)
+            return out["report_obj"]
+
+        base = report("base")
+        for field_name, settings in variants.items():
+            varied = report(field_name, **settings)
+            recorded = varied["manifest_digest"] != base["manifest_digest"]
+            assert recorded == (field_name not in MANIFEST_GAPS), field_name
+
+    def test_analyze_sr_metric_is_a_listed_gap(self, corpus, tmp_path):
+        assert "analyze sr_metric" in MANIFEST_GAPS
+        report = tmp_path / "base" / "report.json"
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", report.parent]) == 0
+        # One file, two tables: every w2v pair, and one mw pair.
+        table = tmp_path / "two_metrics.csv"
+        lines = corpus["sr"].read_text().splitlines()
+        a, b, _, _ = lines[1].split(",")
+        table.write_text("\n".join([*lines, f"{a},{b},mw,0.5"]) + "\n")
+        digests = set()
+        for metric in ("w2v", "mw"):
+            out = tmp_path / metric
+            assert run(["analyze", report, "--data", corpus["events"], "--sr-table", table,
+                        "--sr-metric", metric, "--out-dir", out]) == 0
+            digests.add((out / "srocc.csv").read_text().splitlines()[0])
+        assert len(digests) == 1

@@ -227,6 +227,18 @@ class TestLoadJsonl:
         assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
         assert ds.ingest.first_malformed_line == 2
 
+    def test_learner_id_that_is_neither_string_nor_integer_is_a_malformed_row(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        ids = ["null", '["a"]', "3.5", "true", '{"x": 1}', '"ok"', "7"]
+        path.write_text("".join(
+            f'{{"learner_id": {lid}, "order_index": 0, "label": 1, "topics": [[3, 0.5]]}}\n'
+            for lid in ids
+        ))
+        ds = load_events(path)
+        assert sorted(ds.learners) == ["7", "ok"]
+        assert (ds.ingest.malformed_rows, ds.ingest.first_malformed_line) == (5, 1)
+        assert "learner_id must be a string or an integer" in ds.ingest.first_malformed_reason
+
     @pytest.mark.parametrize("topics", [
         # Each pair is one id cell and one depth cell: a ";" or ":" splits nothing.
         [[1, "0.5;2:0.7"]], [[1, "0.5:0.7"]], [["1;2", 0.5]], [["1:2", 0.5]],
@@ -261,9 +273,12 @@ def json_value_rows(draw):
     integer = st.one_of(st.integers(0, 999), st.integers(0, 999).map(str))
     depth = st.one_of(st.floats(-0.5, 1.5), st.integers(0, 1))
     odd_depth = st.one_of(st.sampled_from(["0", "0.5", "1e-3"]), st.integers(2, 3), st.booleans())
+    # Only a string or an integer learner id has a CSV twin; any other JSON value
+    # is a malformed row (TestLoadJsonl).
+    odd_learner = st.one_of(st.integers(-2, 2), WITH_SEPARATOR)
     return [
         (
-            cell(st.sampled_from(["a", "b"]), st.one_of(ODD_INTEGERS, WITH_SEPARATOR)),
+            cell(st.sampled_from(["a", "b"]), odd_learner),
             cell(integer, st.one_of(ODD_INTEGERS, WITH_SEPARATOR)),
             cell(st.sampled_from([0, 1, "0", "1"]), st.one_of(ODD_INTEGERS, WITH_SEPARATOR)),
             [(cell(integer, ODD_INTEGERS), cell(depth, odd_depth))

@@ -29,6 +29,7 @@ from semlearn.runs import analyze_run
 
 from oracles import (
     paired_t_oracle,
+    recall_series_brute,
     spearman_exact_permutation_p,
     spearman_rho_brute,
     t_upper_tail_quad,
@@ -244,6 +245,17 @@ class TestRecallByEventIndex:
         expected = [(n, x.hex()) for n, x in recall_by_event_index(traces)]
         monkeypatch.setattr(semlearn.evaluation, "sum", math.fsum, raising=False)
         assert [(n, x.hex()) for n, x in recall_by_event_index(traces)] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(traces=st.dictionaries(
+        st.text("abcdef", min_size=1, max_size=3),
+        st.lists(st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])), max_size=40),
+        max_size=8,
+    ))
+    def test_matches_the_prefix_recount_bit_for_bit(self, traces):
+        assert [(n, x.hex()) for n, x in recall_by_event_index(traces)] == [
+            (n, x.hex()) for n, x in recall_series_brute(traces)
+        ]
 
 
 class TestSessionFeatures:
