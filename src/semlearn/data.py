@@ -35,9 +35,9 @@ class DataError(Exception):
 
 @contextlib.contextmanager
 def open_text(path, what: str, newline=None):
-    """``path`` open as UTF-8 text; a file that cannot be read or decoded is a DataError."""
+    """``path`` open as UTF-8 text, BOM skipped; an unreadable or undecodable file is a DataError."""
     try:
-        with open(path, newline=newline, encoding="utf-8") as fh:
+        with open(path, newline=newline, encoding="utf-8-sig") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc

@@ -96,6 +96,31 @@ def aggregate(scores: list[LearnerScore]) -> tuple[float, float, float]:
     return precision / total, recall / total, f1 / total
 
 
+def _pairwise_sum(values: list[float]) -> float:
+    """The float64 sum numpy's ``sum``/``mean`` return, bit for bit.
+
+    numpy sums pairwise (Higham 1993): under 8 values left to right; up to
+    128 in eight running sums plus a left-to-right tail; above that, split
+    at half the length rounded down to a multiple of 8. Its reduction adds
+    the result to 0.0, which turns a sum of -0.0 values into +0.0.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    if n < 8:
+        total, tail = 0.0, values
+    else:
+        r = values[:8]
+        for i in range(8, n - n % 8, 8):
+            r = [s + v for s, v in zip(r, values[i : i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        tail = values[n - n % 8 :]
+    for v in tail:
+        total += v
+    return 0.0 + total
+
+
 def paired_t_test_one_tailed(a: list[float], b: list[float]) -> tuple[float, float]:
     """Learner-wise paired t-test with alternative mean(b - a) > 0.
 
@@ -108,14 +133,14 @@ def paired_t_test_one_tailed(a: list[float], b: list[float]) -> tuple[float, flo
     n = len(a)
     if n < 2:
         raise ValueError("paired t-test needs at least 2 pairs")
-    # report.json keeps t and p in full, so they come from numpy and scipy,
-    # loaded here rather than by every command that imports this module.
-    import numpy as np
+    # report.json keeps t and p in full: the mean and deviation follow numpy's
+    # summation order bit for bit, and p comes from scipy, loaded here rather
+    # than by every command that imports this module.
     from scipy.special import stdtr
 
-    diffs = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    mean = float(diffs.mean())
-    sd = float(diffs.std(ddof=1))
+    diffs = [float(y) - float(x) for x, y in zip(a, b)]
+    mean = _pairwise_sum(diffs) / n
+    sd = math.sqrt(_pairwise_sum([(d - mean) * (d - mean) for d in diffs]) / (n - 1))
     if sd == 0.0:
         if mean > 0.0:
             return math.inf, 0.0

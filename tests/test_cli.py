@@ -681,26 +681,51 @@ def test_cli_import_does_not_load_click():
     assert not any(name == "click" or name.startswith("click.") for name in loaded)
 
 
-def test_third_party_imports_are_the_declared_dependencies():
+def pyproject_project():
+    """The ``[project]`` table of the pyproject.toml beside the source tree."""
     tomllib = pytest.importorskip("tomllib")
-    package = Path(semlearn.__file__).resolve().parent
-    pyproject = package.parents[1] / "pyproject.toml"
+    pyproject = Path(semlearn.__file__).resolve().parents[2] / "pyproject.toml"
     if not pyproject.is_file():
         pytest.skip("pyproject.toml is not beside the source tree")
     with open(pyproject, "rb") as fh:
-        declared = {
-            re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
-            for spec in tomllib.load(fh)["project"]["dependencies"]
-        }
+        return tomllib.load(fh)["project"]
+
+
+def requirement_names(specs):
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in specs}
+
+
+def top_level_imports(paths):
+    """The top-level modules that the files import, also inside functions (ast.walk
+    reaches those) and through ``pytest.importorskip("name")``."""
     imported = set()
-    for path in package.glob("*.py"):
-        # ast.walk reaches the imports inside functions as well.
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "importorskip"):
+                imported.add(node.args[0].value.split(".")[0])
+    return imported
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    declared = requirement_names(pyproject_project()["dependencies"])
+    imported = top_level_imports(Path(semlearn.__file__).resolve().parent.glob("*.py"))
     assert imported - sys.stdlib_module_names - {"semlearn"} == declared
+
+
+def test_test_suite_imports_are_declared_dependencies_or_test_extras():
+    project = pyproject_project()
+    declared = requirement_names(
+        project["dependencies"] + project["optional-dependencies"]["test"]
+    )
+    tests = Path(__file__).resolve().parent
+    local = {path.stem for path in tests.glob("*.py")}
+    imported = top_level_imports(tests.glob("*.py"))
+    assert imported - sys.stdlib_module_names - local - {"semlearn"} <= declared
 
 
 # Definitions kept although nothing in src/semlearn refers to them, each with its reason.
@@ -712,19 +737,23 @@ UNREFERENCED_ALLOWED = {
     "zero_table": "the acceptance tests compare against a table with no pairs",
     "srocc_exact_permutation": "the acceptance tests check srocc's p against it",
     "predict": "the README's pure read; perfbench/tracer.py wraps it by name",
+    "SRTable.set": "the README's way to build a table in code; the acceptance tests use it",
 }
 
 
 def test_every_definition_is_referenced_in_the_package():
     # A reference is a name or an attribute: imports (the re-exports in
     # __init__.py) and strings (docstrings, __all__) do not count, and
-    # neither does a definition's use of itself.
+    # neither does a definition's use of itself. A definition in a class body
+    # is reached only through an attribute (x.set): a bare name, such as the
+    # builtin set(...), does not reach SRTable.set.
     package = Path(semlearn.__file__).resolve().parent
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")]
 
     def used(node):
+        # Keyed by (name, whether it is an attribute).
         return Counter(
-            n.id if isinstance(n, ast.Name) else n.attr
+            (n.attr, True) if isinstance(n, ast.Attribute) else (n.id, False)
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
         )
 
@@ -734,12 +763,15 @@ def test_every_definition_is_referenced_in_the_package():
         for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
         for child in node.body
     }
+
+    def reached(counts, node):
+        return counts[node.name, True] + (0 if node in owner else counts[node.name, False])
     unreferenced = sorted(
         f"{owner[node]}.{node.name}" if node in owner else node.name
         for tree in trees for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))  # language hooks
-        and references[node.name] == used(node)[node.name]
+        and reached(references, node) == reached(used(node), node)
     )
     assert unreferenced == sorted(UNREFERENCED_ALLOWED)
 

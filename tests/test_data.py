@@ -347,6 +347,17 @@ def test_bytes_that_are_not_utf8_are_a_data_error_naming_the_file(tmp_path, suff
         load_events(path)
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_leading_byte_order_mark_is_skipped(tmp_path, suffix):
+    # Excel's "CSV UTF-8" export starts the file with one.
+    rows = [("a", 0, 1, [("3", 0.5)]), ("b", 0, 0, [("4", 0.25)])]
+    plain = write_events(tmp_path / f"plain{suffix}", rows)
+    marked = tmp_path / f"marked{suffix}"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    loaded = load_events(marked)
+    assert loaded == load_events(plain) and loaded.n_events == 2
+
+
 def test_directory_is_a_data_error_naming_it(tmp_path):
     with pytest.raises(DataError, match=re.escape(f"cannot read event file {tmp_path}")):
         load_events(tmp_path)

@@ -23,7 +23,7 @@ from semlearn.evaluation import (
     srocc,
     srocc_exact_permutation,
 )
-from semlearn.evaluation import _t_two_sided_p
+from semlearn.evaluation import _pairwise_sum, _t_two_sided_p
 from semlearn.relatedness import SRTable, zero_table
 from semlearn.runs import analyze_run
 
@@ -108,6 +108,11 @@ class TestAggregate:
         assert [x.hex() for x in aggregate(scores)] == expected
 
 
+# Paired-test inputs beside ordinary values: signed zeros, subnormals and
+# magnitudes whose squares overflow.
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e154, 1e300, -1e300)
+
+
 class TestPairedTTest:
     def test_identical_vectors_give_half(self):
         t, p = paired_t_test_one_tailed([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
@@ -138,6 +143,53 @@ class TestPairedTTest:
             t_ref, p_ref = paired_t_oracle(a, b)
             assert t == pytest.approx(t_ref, abs=1e-9)
             assert p == pytest.approx(p_ref, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "n,t_hex,p_hex",
+        [
+            # One length per branch of the pairwise sum: left to right, eight
+            # running sums, and a split.
+            (5, "-0x1.5fcc766f2e7a3p-1", "0x1.7860542e271cep-1"),
+            (120, "0x1.b4f57a6770727p+0", "0x1.72801844928d0p-5"),
+            (300, "0x1.059f6c728a51bp+2", "0x1.d5c8224268502p-16"),
+        ],
+    )
+    def test_bits_are_pinned(self, n, t_hex, p_hex):
+        rng = random.Random(n)
+        a = [rng.random() for _ in range(n)]
+        b = [rng.random() + 0.05 for _ in range(n)]
+        t, p = paired_t_test_one_tailed(a, b)
+        assert (t.hex(), p.hex()) == (t_hex, p_hex)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1), special=st.floats(0.0, 1.0))
+    def test_mean_and_deviation_are_numpys_bit_for_bit(self, n, seed, special):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(seed)
+
+        def value():
+            if rng.random() < special:
+                return rng.choice(SPECIAL_VALUES)
+            return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+
+        a = [value() for _ in range(n)]
+        b = [value() for _ in range(n)]
+        diffs = [y - x for x, y in zip(a, b)]
+        mean = _pairwise_sum(diffs) / n
+        sd = math.sqrt(_pairwise_sum([(d - mean) * (d - mean) for d in diffs]) / (n - 1))
+        with np.errstate(all="ignore"):
+            array = np.asarray(b) - np.asarray(a)
+            np_mean, np_sd = float(array.mean()), float(array.std(ddof=1))
+        assert (mean.hex(), sd.hex()) == (np_mean.hex(), np_sd.hex())
+        if math.isfinite(sd) and sd > 0.0:
+            t, _ = paired_t_test_one_tailed(a, b)
+            assert t.hex() == (np_mean / (np_sd / math.sqrt(n))).hex()
+
+    def test_sum_of_negative_zeros_is_numpys(self):
+        # numpy adds its pairwise sum to the reduction's 0.0, which makes it +0.0.
+        np = pytest.importorskip("numpy")
+        for n in range(1, 301):
+            assert _pairwise_sum([-0.0] * n).hex() == float(np.full(n, -0.0).sum()).hex()
 
     def test_rejects_mismatched_or_short(self):
         with pytest.raises(ValueError):

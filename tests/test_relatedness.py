@@ -120,6 +120,14 @@ class TestLoadSrTable:
         with pytest.raises(DataError, match="available: mw"):
             load_sr_table(path, "w2v")
 
+    @pytest.mark.parametrize("header", ["topic_a,topic_b,metric,value", "topic_a,topic_b,w2v"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, header):
+        # Excel's "CSV UTF-8" export starts the file with one.
+        row = "1,2,w2v,0.8" if header.endswith("value") else "1,2,0.8"
+        path = tmp_path / "sr.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{header}\n{row}\n".encode())
+        assert load_sr_table(path, "w2v").neighbours == {1: {2: 0.8}, 2: {1: 0.8}}
+
     @pytest.mark.parametrize("good_rows", [0, 1000])
     def test_bytes_that_are_not_utf8_are_a_data_error_naming_the_file(self, tmp_path, good_rows):
         rows = [f"1,{b},w2v,0.5" for b in range(2, good_rows + 2)]
