@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .data import ENGAGED, Dataset
+from .data import ENGAGED, NOT_ENGAGED, Dataset
 from .relatedness import SRTable, avg_connectedness, build_topic_graph, min_cut_set_size
 
 Trace = list[tuple[int, int]]  # (prediction, label), both +-1
@@ -44,35 +45,17 @@ class LearnerScore:
     trace: Trace = field(repr=False)
 
 
-def confusion_counts(trace: Trace) -> tuple[int, int, int, int]:
-    """(TP, FP, FN, TN) with engaged (+1) as the positive class."""
-    tp = fp = fn = tn = 0
-    for prediction, label in trace:
-        if prediction == ENGAGED:
-            if label == ENGAGED:
-                tp += 1
-            else:
-                fp += 1
-        elif label == ENGAGED:
-            fn += 1
-        else:
-            tn += 1
-    return tp, fp, fn, tn
-
-
-def precision_recall_f1(trace: Trace) -> tuple[float, float, float]:
-    tp, fp, fn, _ = confusion_counts(trace)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
-
-
 def score_learner(learner_id: str, trace: Trace) -> LearnerScore:
     """Per-learner classification scores over a full prediction trace."""
     if not trace:
         raise ValueError(f"empty trace for learner {learner_id!r}")
-    precision, recall, f1 = precision_recall_f1(trace)
+    counts = Counter(trace)
+    tp = counts[ENGAGED, ENGAGED]
+    fp = counts[ENGAGED, NOT_ENGAGED]
+    fn = counts[NOT_ENGAGED, ENGAGED]
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
     return LearnerScore(learner_id, len(trace), precision, recall, f1, list(trace))
 
 

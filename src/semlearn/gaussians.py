@@ -69,10 +69,11 @@ class Gaussian1D:
             object.__setattr__(self, "precision", 0.0)
             object.__setattr__(self, "precision_mean", 0.0)
             return
-        if not math.isfinite(mean):
-            raise ValueError(f"mean must be finite for a proper belief, got {mean}")
+        precision_mean = mean / variance  # overflows for a large mean at a tiny variance
+        if not math.isfinite(precision_mean):
+            raise ValueError(f"mean / variance must be finite, got {mean} / {variance}")
         object.__setattr__(self, "precision", 1.0 / variance)
-        object.__setattr__(self, "precision_mean", mean / variance)
+        object.__setattr__(self, "precision_mean", precision_mean)
 
     @classmethod
     def from_natural(cls, precision: float, precision_mean: float) -> "Gaussian1D":

@@ -32,6 +32,10 @@ Propagator = Callable[[LearnerModel, EngagementEvent], None]
 # shared objects, so a trace held until scoring costs one list slot per event.
 _OUTCOMES = {(p, l): (p, l) for p in (ENGAGED, NOT_ENGAGED) for l in (ENGAGED, NOT_ENGAGED)}
 
+# A posterior skill variance that underflows to 0 (a near-certain update of a
+# very wide prior) is stored as this tiny positive variance instead.
+_VARIANCE_FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -168,7 +172,8 @@ def update(
         t = mean_d / scale
         margin = cfg.draw_margin_eps / scale
         if event.label == ENGAGED:
-            v, w = truncated_moments_within(t, margin)
+            # A margin that underflows to 0 holds no mass: the saturated corrections.
+            v, w = truncated_moments_within(t, margin) if margin > 0.0 else (-t, 1.0)
         else:
             side = 1.0 if t >= 0.0 else -1.0
             v, w = truncated_moments_above(side * t, margin)
@@ -176,6 +181,8 @@ def update(
         for (topic_id, _), d, mu, var in zip(event.topics, depths, means, variances):
             new_mean = mu + d * var * v / scale
             new_var = var * (1.0 - w * d * d * var / var_d)
+            if new_var <= 0.0:
+                new_var = _VARIANCE_FLOOR
             model.skills[topic_id] = Gaussian1D(new_mean, new_var)
     for topic_id, _ in event.topics:
         model.topics_seen.add(topic_id)

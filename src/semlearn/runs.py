@@ -25,7 +25,6 @@ from .evaluation import (
     Trace,
     aggregate,
     paired_t_test_one_tailed,
-    precision_recall_f1,
     recall_by_event_index,
     session_feature_table,
     session_feature_srocc,
@@ -487,6 +486,13 @@ def analyze_run(
     Session features are model-independent, so they are computed once.
     """
     reports = [_load_report(p) for p in report_paths]
+    # One column per model entry, in report order: a repeated model id keeps its own.
+    columns = [column for _, entries in reports for column in entries]
+    learner_ids = sorted(columns[0][1])
+    if any(traces.keys() != columns[0][1].keys() for _, traces in columns[1:]):
+        raise DataError("reports cover different learner sets; refusing to analyze")
+    if len(learner_ids) < 3:
+        raise DataError(f"reports cover {len(learner_ids)} learner(s); analyze needs at least 3")
     spec = RunSpec.of(
         data_path, sr_table_path=sr_table_path, sr_metric=sr_metric, top_topics=top_topics
     )
@@ -497,12 +503,6 @@ def analyze_run(
                 f"{path}: report was produced from a different dataset "
                 "(data digest mismatch)"
             )
-
-    # One column per model entry, in report order: a repeated model id keeps its own.
-    columns = [column for _, entries in reports for column in entries]
-    learner_ids = sorted(columns[0][1])
-    if any(traces.keys() != columns[0][1].keys() for _, traces in columns[1:]):
-        raise DataError("reports cover different learner sets; refusing to analyze")
     for lid in learner_ids:
         events = dataset.learners.get(lid)
         if events is None:
@@ -514,11 +514,11 @@ def analyze_run(
                     f"for {len(events)} events"
                 )
 
-    if len(learner_ids) < 3:
-        raise DataError(f"reports cover {len(learner_ids)} learner(s); analyze needs at least 3")
     features = session_feature_table(dataset, learner_ids, table)
     sroccs = [
-        session_feature_srocc(features, [precision_recall_f1(traces[lid])[1] for lid in learner_ids])
+        session_feature_srocc(
+            features, [score_learner(lid, traces[lid]).recall for lid in learner_ids]
+        )
         for _, traces in columns
     ]
     # Every trace matches its learner's events (checked above), so the series align.

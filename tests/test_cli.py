@@ -481,6 +481,36 @@ class TestAnalyzeCommand:
         assert "data error:" in err
         assert f"learner {learner['learner_id']!r}" in err
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ("drop_one", "reports cover different learner sets"),
+            ("keep_two", "reports cover 2 learner(s); analyze needs at least 3"),
+        ],
+        ids=["drop_one", "keep_two"],
+    )
+    def test_reports_unfit_for_analysis_are_data_error_before_loading(
+        self, corpus, tmp_path, capsys, change, message
+    ):
+        base_out = tmp_path / "base"
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", base_out]) == 0
+        capsys.readouterr()
+        report = json.loads((base_out / "report.json").read_text())
+        reports = [tmp_path / "edited.json"]
+        if change == "drop_one":
+            report["models"][0]["learners"].pop()
+            reports.insert(0, base_out / "report.json")
+        else:
+            for entry in report["models"]:
+                entry["learners"] = entry["learners"][:2]
+        reports[-1].write_text(json.dumps(report))
+        # The SR table does not exist: the reports must be refused before it is read.
+        assert run(["analyze", *reports, "--data", corpus["events"],
+                    "--sr-table", tmp_path / "missing.csv", "--out-dir", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        assert message in err
+
     @pytest.mark.parametrize("model_id", [None, ["truelearn-novel"]])
     def test_model_entry_without_string_id_is_data_error_before_loading(
         self, corpus, tmp_path, capsys, model_id
@@ -735,7 +765,7 @@ UNREFERENCED_ALLOWED = {
     "divide": "Gaussian algebra the acceptance tests pin",
     "save_events": "the acceptance tests write corpora with it",
     "zero_table": "the acceptance tests compare against a table with no pairs",
-    "srocc_exact_permutation": "the acceptance tests check srocc's p against it",
+    "srocc_exact_permutation": "acceptance criterion 5 checks its p against oracles.spearman_exact_permutation_p",
     "predict": "the README's pure read; perfbench/tracer.py wraps it by name",
     "SRTable.set": "the README's way to build a table in code; the acceptance tests use it",
 }

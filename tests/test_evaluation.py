@@ -13,9 +13,7 @@ from semlearn.evaluation import (
     SESSION_FEATURES,
     LearnerScore,
     aggregate,
-    confusion_counts,
     paired_t_test_one_tailed,
-    precision_recall_f1,
     recall_by_event_index,
     session_feature_table,
     session_feature_srocc,
@@ -66,9 +64,8 @@ class TestScoreLearner:
         tp = sum(1 for p, l in trace if p == 1 and l == 1)
         fp = sum(1 for p, l in trace if p == 1 and l == -1)
         fn = sum(1 for p, l in trace if p == -1 and l == 1)
-        assert confusion_counts(trace)[:3] == (tp, fp, fn)
-        assert s.precision == pytest.approx(tp / (tp + fp) if tp + fp else 0.0)
-        assert s.recall == pytest.approx(tp / (tp + fn) if tp + fn else 0.0)
+        assert s.precision == (tp / (tp + fp) if tp + fp else 0.0)
+        assert s.recall == (tp / (tp + fn) if tp + fn else 0.0)
 
 
 class TestAggregate:
@@ -330,7 +327,7 @@ class TestSessionFeatures:
         assert features["n_unique_topics"] == [4.0]
         assert features["positive_label_rate"] == [pytest.approx(0.7)]
         assert features["topic_sparsity_rate"] == [pytest.approx(1.0 - 4.0 / 10.0)]
-        assert precision_recall_f1(traces["a"])[1] == 1.0
+        assert score_learner("a", traces["a"]).recall == 1.0
 
     def test_triangle_session_graph_features(self):
         table = SRTable(metric="w2v")
@@ -358,7 +355,7 @@ class TestSessionFeatures:
         ds = Dataset(learners=learners)
         order = sorted(learners, reverse=True)  # the table sorts its learners itself
         features = session_feature_table(ds, order, zero_table())
-        recalls = [precision_recall_f1(traces[lid])[1] for lid in sorted(learners)]
+        recalls = [score_learner(lid, traces[lid]).recall for lid in sorted(learners)]
         stats = session_feature_srocc(features, recalls)
         n_events = [float(len(learners[lid])) for lid in sorted(learners)]
         rho_ref = spearman_rho_brute(n_events, recalls)
@@ -366,6 +363,12 @@ class TestSessionFeatures:
 
     def test_trace_alignment_enforced(self, tmp_path):
         ds, traces = self.dataset_and_traces()
+        # analyze refuses fewer than 3 learners before it reads the events, so
+        # learners b and c, copies of a, carry the reports past that check.
+        for lid in ("b", "c"):
+            ds.learners[lid] = [EngagementEvent(lid, ev.order_index, ev.topics, ev.label)
+                                for ev in ds.learners["a"]]
+            traces[lid] = traces["a"]
         events = tmp_path / "events.csv"
         save_events(ds, events)
         sr = tmp_path / "sr.csv"
@@ -373,8 +376,9 @@ class TestSessionFeatures:
         digest = hashlib.sha256(events.read_bytes()).hexdigest()
 
         def report_with(learner_id, trace):
-            learners = [{"learner_id": learner_id, "predictions": [p for p, _ in trace],
-                         "labels": [l for _, l in trace]}]
+            learners = [{"learner_id": lid, "predictions": [p for p, _ in t],
+                         "labels": [l for _, l in t]}
+                        for lid, t in [(learner_id, trace), ("b", traces["b"]), ("c", traces["c"])]]
             path = tmp_path / f"report_{learner_id}_{len(trace)}.json"
             path.write_text(json.dumps({"manifest": {"inputs": {"data": digest}},
                                         "models": [{"model_id": "m", "learners": learners}]}))

@@ -41,6 +41,12 @@ class TestGaussian1D:
         assert math.isinf(UNINFORMATIVE.variance)
         assert not UNINFORMATIVE.is_proper
 
+    # 1e10 / 1e-300 overflows: a finite mean whose stored mean / variance is not.
+    @pytest.mark.parametrize("mean,variance", [(math.inf, 1.0), (math.nan, 1.0), (1e10, 1e-300)])
+    def test_rejects_mean_that_is_not_finite_over_its_variance(self, mean, variance):
+        with pytest.raises(ValueError, match="mean / variance must be finite"):
+            Gaussian1D(mean, variance)
+
     @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan])
     def test_rejects_bad_variance(self, variance):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semlearn.novel
@@ -20,6 +20,10 @@ from synthetic import random_sessions, random_sr_table
 
 def event(topics, label=1, learner="x", order=0):
     return EngagementEvent(learner, order, tuple(topics), label)
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(float(lo_exp), float(hi_exp)).map(lambda e: 10.0**e)
 
 
 class TestModelConfig:
@@ -298,6 +302,34 @@ class TestStep:
                     beliefs.update(repr((topic, skill.precision, skill.precision_mean)).encode())
         assert traces.hexdigest() == "48ba32f2bfd02d99ddf31110cb22a8cd9cf06d0e6112bf63a716abe6058ded9d"
         assert beliefs.hexdigest() == "fd54b483b711b101f6f7183f48dc54603e3b61bfc057a0f1f06f6a68a4421fb7"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cfg=st.builds(
+            ModelConfig,
+            beta=log_uniform(-12, 12),
+            beta_perf=log_uniform(-12, 12),
+            draw_margin_eps=log_uniform(-6, 6),
+            dynamics_tau=st.just(0.0) | log_uniform(-6, 1),
+            depth_skill_level=st.floats(-10.0, 10.0),
+            decision_threshold=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    # A posterior variance that underflows to 0 ...
+    @example(cfg=ModelConfig(beta=1e12, beta_perf=1e-12, draw_margin_eps=1e6), seed=9)
+    @example(cfg=ModelConfig(beta_perf=5e-324), seed=9)
+    # ... and a draw margin eps / sqrt(var_d) that underflows to 0.
+    @example(cfg=ModelConfig(beta=1e300, beta_perf=1e300, draw_margin_eps=1e-300), seed=9)
+    @example(cfg=ModelConfig(beta_perf=1e308), seed=9)
+    def test_step_keeps_beliefs_proper_for_any_valid_config(self, cfg, seed):
+        for events in random_sessions(n_learners=10, seed=seed, max_events=30).learners.values():
+            model = LearnerModel()
+            for ev in events:
+                p_engage, _ = update(model, ev, cfg)
+                assert 0.0 <= p_engage <= 1.0
+            for skill in model.skills.values():
+                assert skill.is_proper and math.isfinite(skill.mean)
 
 
 class TestReplaySession:
