@@ -208,14 +208,23 @@ def _json_cells(line: str):
 
 
 def _csv_rows(fh, path: Path):
-    """(line number, row) of each non-empty CSV row after the checked header."""
+    """(line number, row) of each non-empty CSV row after the checked header.
+
+    A line the csv module refuses (a cell over ``csv.field_size_limit()``,
+    say) is a DataError naming it.
+    """
     reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is not None and tuple(h.strip() for h in header) != EVENT_FIELDS:
-        raise DataError(
-            f"{path}: expected header {','.join(EVENT_FIELDS)}, got {','.join(header)}"
-        )
-    return ((line_no, row) for line_no, row in enumerate(reader, start=2) if row)
+    try:
+        header = next(reader, None)
+        if header is not None and tuple(h.strip() for h in header) != EVENT_FIELDS:
+            raise DataError(
+                f"{path}: expected header {','.join(EVENT_FIELDS)}, got {','.join(header)}"
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if row:
+                yield line_no, row
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def load_events(path, top_topics: int | None = None) -> Dataset:

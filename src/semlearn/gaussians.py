@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 __all__ = [
     "Gaussian1D",
@@ -57,10 +58,12 @@ _MASS_FLOOR = 1e-300
 _ASYMPTOTIC_CUTOFF = 1e5
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Gaussian1D:
     """A univariate Gaussian belief, or an uninformative message (variance=inf)."""
 
-    __slots__ = ("precision", "precision_mean")
+    precision: float
+    precision_mean: float
 
     def __init__(self, mean: float = 0.0, variance: float = math.inf):
         if math.isnan(variance) or variance <= 0.0:
@@ -84,11 +87,8 @@ class Gaussian1D:
         object.__setattr__(g, "precision_mean", precision_mean if precision > 0.0 else 0.0)
         return g
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Gaussian1D is immutable")
-
     def __reduce__(self):
-        # Rebuild from the natural parameters, not through __setattr__.
+        # Rebuild from the natural parameters, not through the frozen __setattr__.
         return (Gaussian1D.from_natural, (self.precision, self.precision_mean))
 
     @property
@@ -102,14 +102,6 @@ class Gaussian1D:
     @property
     def is_proper(self) -> bool:
         return self.precision > 0.0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Gaussian1D):
-            return NotImplemented
-        return (self.precision, self.precision_mean) == (other.precision, other.precision_mean)
-
-    def __hash__(self) -> int:
-        return hash((self.precision, self.precision_mean))
 
     def __repr__(self) -> str:
         if not self.is_proper:

@@ -69,49 +69,52 @@ def load_sr_table(path, metric: str) -> SRTable:
     table = SRTable(metric=metric)
     with open_text(path, "SR table", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            log.warning("%s: empty SR file", path)
-            return table
-        header = [h.strip().lower() for h in header]
-        if header[:2] != ["topic_a", "topic_b"]:
-            raise DataError(f"{path}: SR header must start with topic_a,topic_b")
-        long_format = header[2:] == ["metric", "value"]
-        # One parse per distinct id or metric cell, and one int object per id.
-        ids = _ParsedCells(int)
-        metric_cells = _ParsedCells(lambda cell: cell.strip().lower())
-        if long_format:
-            # A long file provides its metric cells, normalised (a live view).
-            col, available = 3, metric_cells.values()
-        elif metric in header[2:]:
-            col, available = header.index(metric, 2), header[2:]
-        else:
-            raise DataError(
-                f"{path}: metric {metric!r} not present; available: {', '.join(header[2:])}"
-            )
-        rows = defaultdict(dict)
-        written = clamped = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                a, b = ids[row[0]], ids[row[1]]
-                if long_format:
-                    row_metric = metric_cells[row[2]]
-                value = float(row[col])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{line_no}: bad SR row: {exc}") from exc
-            if long_format and row_metric != metric:
-                continue
-            if not 0.0 <= value <= 1.0:
-                if not math.isfinite(value):
-                    raise DataError(f"{path}:{line_no}: relatedness must be finite, got {value}")
-                value = min(max(value, 0.0), 1.0)
-                clamped += 1
-            if a != b:
-                written += 1
-                rows[a][b] = value
-                rows[b][a] = value
+        try:
+            header = next(reader, None)
+            if header is None:
+                log.warning("%s: empty SR file", path)
+                return table
+            header = [h.strip().lower() for h in header]
+            if header[:2] != ["topic_a", "topic_b"]:
+                raise DataError(f"{path}: SR header must start with topic_a,topic_b")
+            long_format = header[2:] == ["metric", "value"]
+            # One parse per distinct id or metric cell, and one int object per id.
+            ids = _ParsedCells(int)
+            metric_cells = _ParsedCells(lambda cell: cell.strip().lower())
+            if long_format:
+                # A long file provides its metric cells, normalised (a live view).
+                col, available = 3, metric_cells.values()
+            elif metric in header[2:]:
+                col, available = header.index(metric, 2), header[2:]
+            else:
+                raise DataError(
+                    f"{path}: metric {metric!r} not present; available: {', '.join(header[2:])}"
+                )
+            rows = defaultdict(dict)
+            written = clamped = 0
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    a, b = ids[row[0]], ids[row[1]]
+                    if long_format:
+                        row_metric = metric_cells[row[2]]
+                    value = float(row[col])
+                except (ValueError, IndexError) as exc:
+                    raise DataError(f"{path}:{line_no}: bad SR row: {exc}") from exc
+                if long_format and row_metric != metric:
+                    continue
+                if not 0.0 <= value <= 1.0:
+                    if not math.isfinite(value):
+                        raise DataError(f"{path}:{line_no}: relatedness must be finite, got {value}")
+                    value = min(max(value, 0.0), 1.0)
+                    clamped += 1
+                if a != b:
+                    written += 1
+                    rows[a][b] = value
+                    rows[b][a] = value
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if metric not in available:
         available = ", ".join(sorted(set(available)))
         raise DataError(f"{path}: metric {metric!r} not present; available: {available}")

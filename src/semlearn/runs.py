@@ -166,10 +166,18 @@ def prepare_run(
     return dataset, table, inputs
 
 
-def _output_paths(out_dir, manifest: RunManifest) -> list[Path]:
-    """The manifest's output files under ``out_dir``, which is created if missing."""
+def _make_out_dir(out_dir) -> Path:
+    """``out_dir``, created if missing; a path that cannot be a directory is a ValueError."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {out_dir}: {exc}") from exc
+    return out_dir
+
+
+def _output_paths(out_dir: Path, manifest: RunManifest) -> list[Path]:
+    """The manifest's output files under ``out_dir``."""
     return [out_dir / name for name in manifest.outputs]
 
 
@@ -283,6 +291,7 @@ def evaluate_run(
 
     ``settings`` are ``RunSpec.of``'s keywords.
     """
+    out_dir = _make_out_dir(out_dir)
     spec = RunSpec.of(data_path, **settings)
     base_cfg, prop_cfg = spec.model_config, spec.propagation_config
     models = [MODEL_BASELINE, MODEL_SEMANTIC] if compare else [model]
@@ -374,6 +383,7 @@ def tune_run(
     per-point results table. ``settings`` are ``RunSpec.of``'s keywords; the
     spec's model config is the base of every grid point.
     """
+    out_dir = _make_out_dir(out_dir)
     spec = RunSpec.of(data_path, **settings)
     kind = _propagator_type(model)
     configs = load_grid(grid_path, spec.model_config)
@@ -485,6 +495,7 @@ def analyze_run(
     same learner set, and hold one trace entry per event of each learner.
     Session features are model-independent, so they are computed once.
     """
+    out_dir = _make_out_dir(out_dir)
     reports = [_load_report(p) for p in report_paths]
     # One column per model entry, in report order: a repeated model id keeps its own.
     columns = [column for _, entries in reports for column in entries]

@@ -40,6 +40,13 @@ def corpus(tmp_path_factory):
     return {"events": events, "sr": sr, "zero_sr": zero_sr, "dataset": ds}
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    """Each test runs in its own directory: a command given no --out-dir creates its
+    default one under the working directory before it reads any input."""
+    monkeypatch.chdir(tmp_path)
+
+
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -110,6 +117,26 @@ class TestCommandLineContract:
         # The data file does not exist: loading it would exit 2.
         assert run(["tune", "--model", "semantic-truelearn", "--data", tmp_path / "missing.csv",
                     "--grid", grid]) == 1
+
+
+    # Every input is missing: reading any of them would exit 2.
+    @pytest.mark.parametrize("command", ["evaluate", "tune", "analyze"])
+    def test_out_dir_that_cannot_be_created_is_usage_error_before_loading(
+        self, tmp_path, capsys, command
+    ):
+        missing = tmp_path / "missing"
+        inputs = {
+            "evaluate": ["--data", missing],
+            "tune": ["--data", missing, "--grid", missing],
+            "analyze": [missing, "--data", missing, "--sr-table", missing],
+        }[command]
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out_dir in (blocker, blocker / "sub"):
+            assert run([command, *inputs, "--out-dir", out_dir]) == 1
+            assert f"error: cannot create output directory {out_dir}: " in (
+                capsys.readouterr().err
+            )
 
 
 class TestEvaluateCommand:
@@ -676,6 +703,38 @@ class TestValidateData:
         sr = write_unreadable(tmp_path / "sr.csv", kind)
         assert run(["validate-data", "--data", corpus["events"], "--sr-table", sr]) == 2
         assert f"data error: cannot read SR table {sr}: " in capsys.readouterr().err
+
+    # A cell one character over the csv module's limit, in the header or in a row.
+    @pytest.mark.parametrize("line_no", [1, 3])
+    def test_event_cell_over_the_csv_field_limit_exits_two(self, tmp_path, capsys, line_no):
+        lines = ["learner_id,order_index,label,topics", "a,0,1,1:0.5", "a,1,1,1:0.5"]
+        lines[line_no - 1] += "x" * csv.field_size_limit()
+        path = tmp_path / "events.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["validate-data", "--data", path]) == 2
+        assert f"data error: {path}:{line_no}: field larger than field limit" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("line_no", [1, 3])
+    def test_sr_cell_over_the_csv_field_limit_exits_two(self, corpus, tmp_path, capsys, line_no):
+        lines = ["topic_a,topic_b,metric,value", "0,1,w2v,0.5", "1,2,w2v,0.5"]
+        lines[line_no - 1] += "x" * csv.field_size_limit()
+        sr = tmp_path / "sr.csv"
+        sr.write_text("\n".join(lines) + "\n")
+        assert run(["validate-data", "--data", corpus["events"], "--sr-table", sr]) == 2
+        assert f"data error: {sr}:{line_no}: field larger than field limit" in (
+            capsys.readouterr().err
+        )
+
+    def test_csv_error_is_a_data_error_in_evaluate_and_tune(self, corpus, tmp_path, capsys):
+        path = tmp_path / "events.csv"
+        path.write_text(corpus["events"].read_text() + "x" * (csv.field_size_limit() + 1))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"beta": [1.0]}))
+        for command in (["evaluate"], ["tune", "--grid", grid]):
+            assert run([*command, "--data", path, "--out-dir", tmp_path / "out"]) == 2
+            assert "field larger than field limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_top_topics_below_one_is_usage_error(self, corpus, k):

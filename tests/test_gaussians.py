@@ -66,6 +66,31 @@ class TestGaussian1D:
         with pytest.raises(AttributeError):
             back.precision = 2.0
 
+    @given(st.one_of(gaussians(), st.just(UNINFORMATIVE)), gaussians())
+    @example(UNINFORMATIVE, Gaussian1D(0.0, 1.0))
+    @example(Gaussian1D(0.1, 0.5), Gaussian1D(0.1, 0.5))
+    @example(Gaussian1D(-0.0, 2.0), Gaussian1D(0.0, 2.0))
+    def test_is_a_frozen_record_of_its_natural_parameters(self, g, other):
+        fields = (g.precision, g.precision_mean)
+        bits = tuple(x.hex() for x in fields)
+        copies = [pickle.loads(pickle.dumps(g, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in (*copies, copy.copy(g), copy.deepcopy(g)):
+            assert type(back) is Gaussian1D
+            assert (back.precision.hex(), back.precision_mean.hex()) == bits
+            assert back == g and hash(back) == hash(g)
+        assert hash(g) == hash(fields)
+        assert (g == other) == (fields == (other.precision, other.precision_mean))
+        assert g != other or hash(g) == hash(other)
+        assert g != Gaussian1D.from_natural(g.precision + 1.0, g.precision_mean)
+        assert g != fields and fields != g
+        for name in ("precision", "precision_mean"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 2.0)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert tuple(x.hex() for x in (g.precision, g.precision_mean)) == bits
+
     @given(finite_means, proper_variances)
     def test_roundtrip_property(self, mean, variance):
         g = Gaussian1D(mean, variance)
