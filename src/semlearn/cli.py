@@ -1,6 +1,7 @@
 """Command-line entry point: evaluate, tune, analyze, validate-data.
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error or an output that cannot be written,
+2 data error.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError) as exc:
+    # OSError: an output file that cannot be written (inputs are DataErrors).
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import logging
 import math
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .gaussians import Gaussian1D
 
@@ -41,6 +41,21 @@ def open_text(path, what: str, newline=None):
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def csv_reader(fh, path):
+    """``csv.reader(fh)``; a line the csv module refuses (a cell over
+    ``csv.field_size_limit()``, say) is a DataError naming it.
+
+    ``reader.line_num`` is the physical line the last record ended on, so a
+    message about a row names the line that way too.
+    """
+    reader = csv.reader(fh)
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def read_json(path, what: str):
@@ -207,26 +222,6 @@ def _json_cells(line: str):
     return str(learner_id), str(order), str(label), [(str(t), str(d)) for t, d in topics]
 
 
-def _csv_rows(fh, path: Path):
-    """(line number, row) of each non-empty CSV row after the checked header.
-
-    A line the csv module refuses (a cell over ``csv.field_size_limit()``,
-    say) is a DataError naming it.
-    """
-    reader = csv.reader(fh)
-    try:
-        header = next(reader, None)
-        if header is not None and tuple(h.strip() for h in header) != EVENT_FIELDS:
-            raise DataError(
-                f"{path}: expected header {','.join(EVENT_FIELDS)}, got {','.join(header)}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if row:
-                yield line_no, row
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-
-
 def load_events(path, top_topics: int | None = None) -> Dataset:
     """Load an event log into a Dataset, enforcing the schema invariants.
 
@@ -238,22 +233,26 @@ def load_events(path, top_topics: int | None = None) -> Dataset:
     """
     if top_topics is not None and top_topics < 1:
         raise ValueError(f"top_topics must be >= 1, got {top_topics}")
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"event file not found: {path}")
     report = IngestReport()
     # One parse and one int object per distinct topic-id cell.
     ids = _ParsedCells(int)
     learners: dict[str, list[EngagementEvent]] = {}
     seen_keys: set[tuple[str, int]] = set()
-    with open_text(path, "event file", newline="") as fh:
+    with open_text(path, "event file", newline="") as fh, csv_reader(fh, path) as reader:
         head = next((line for line in fh if not line.isspace()), "")
         fh.seek(0)
         if head.lstrip().startswith("{"):
             rows = ((n, line) for n, line in enumerate(fh, start=1) if not line.isspace())
             cells = _json_cells
         else:
-            rows, cells = _csv_rows(fh, path), _csv_cells
+            header = next(reader, None)
+            if header is not None and tuple(h.strip() for h in header) != EVENT_FIELDS:
+                raise DataError(
+                    f"{path}: expected header {','.join(EVENT_FIELDS)}, got {','.join(header)}"
+                )
+            # A JSON line comes with its number; a CSV row with None, its line
+            # (reader.line_num) being read only where a message names it.
+            rows, cells = zip(itertools.repeat(None), filter(None, reader)), _csv_cells
         for line_no, raw in rows:
             report.rows_read += 1
             try:
@@ -266,13 +265,13 @@ def load_events(path, top_topics: int | None = None) -> Dataset:
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 report.malformed_rows += 1
                 if report.first_malformed_line is None:
-                    report.first_malformed_line = line_no
+                    report.first_malformed_line = line_no or reader.line_num
                     report.first_malformed_reason = str(exc)
                 continue
             key = (learner_id, order_index)
             if key in seen_keys:
                 raise DataError(
-                    f"{path}:{line_no}: duplicate (learner_id, order_index) = {key}"
+                    f"{path}:{line_no or reader.line_num}: duplicate (learner_id, order_index) = {key}"
                 )
             seen_keys.add(key)
             if not topics:

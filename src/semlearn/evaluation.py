@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .data import ENGAGED, NOT_ENGAGED, Dataset
 from .relatedness import SRTable, avg_connectedness, build_topic_graph, min_cut_set_size
@@ -42,7 +42,6 @@ class LearnerScore:
     precision: float
     recall: float
     f1: float
-    trace: Trace = field(repr=False)
 
 
 def score_learner(learner_id: str, trace: Trace) -> LearnerScore:
@@ -56,7 +55,7 @@ def score_learner(learner_id: str, trace: Trace) -> LearnerScore:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return LearnerScore(learner_id, len(trace), precision, recall, f1, list(trace))
+    return LearnerScore(learner_id, len(trace), precision, recall, f1)
 
 
 def aggregate(scores: list[LearnerScore]) -> tuple[float, float, float]:

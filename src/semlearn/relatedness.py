@@ -10,16 +10,14 @@ immutable after load.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import itertools
 from collections import defaultdict
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .data import DataError, _ParsedCells, open_text
+from .data import DataError, _ParsedCells, csv_reader, open_text
 
 log = logging.getLogger(__name__)
 
@@ -63,62 +61,57 @@ def load_sr_table(path, metric: str) -> SRTable:
     file provides.
     """
     metric = metric.lower()
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"SR table not found: {path}")
-    table = SRTable(metric=metric)
-    with open_text(path, "SR table", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                log.warning("%s: empty SR file", path)
-                return table
-            header = [h.strip().lower() for h in header]
-            if header[:2] != ["topic_a", "topic_b"]:
-                raise DataError(f"{path}: SR header must start with topic_a,topic_b")
-            long_format = header[2:] == ["metric", "value"]
-            # One parse per distinct id or metric cell, and one int object per id.
-            ids = _ParsedCells(int)
-            metric_cells = _ParsedCells(lambda cell: cell.strip().lower())
-            if long_format:
-                # A long file provides its metric cells, normalised (a live view).
-                col, available = 3, metric_cells.values()
-            elif metric in header[2:]:
-                col, available = header.index(metric, 2), header[2:]
-            else:
-                raise DataError(
-                    f"{path}: metric {metric!r} not present; available: {', '.join(header[2:])}"
-                )
-            rows = defaultdict(dict)
-            written = clamped = 0
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    a, b = ids[row[0]], ids[row[1]]
-                    if long_format:
-                        row_metric = metric_cells[row[2]]
-                    value = float(row[col])
-                except (ValueError, IndexError) as exc:
-                    raise DataError(f"{path}:{line_no}: bad SR row: {exc}") from exc
-                if long_format and row_metric != metric:
-                    continue
-                if not 0.0 <= value <= 1.0:
-                    if not math.isfinite(value):
-                        raise DataError(f"{path}:{line_no}: relatedness must be finite, got {value}")
-                    value = min(max(value, 0.0), 1.0)
-                    clamped += 1
-                if a != b:
-                    written += 1
-                    rows[a][b] = value
-                    rows[b][a] = value
-        except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    with open_text(path, "SR table", newline="") as fh, csv_reader(fh, path) as reader:
+        header = next(reader, None)
+        if header is None:
+            log.warning("%s: empty SR file", path)
+            return SRTable(metric)
+        header = [h.strip().lower() for h in header]
+        if header[:2] != ["topic_a", "topic_b"]:
+            raise DataError(f"{path}: SR header must start with topic_a,topic_b")
+        long_format = header[2:] == ["metric", "value"]
+        # One parse per distinct id or metric cell, and one int object per id.
+        ids = _ParsedCells(int)
+        metric_cells = _ParsedCells(lambda cell: cell.strip().lower())
+        if long_format:
+            # A long file provides its metric cells, normalised (a live view).
+            col, available = 3, metric_cells.values()
+        elif metric in header[2:]:
+            col, available = header.index(metric, 2), header[2:]
+        else:
+            raise DataError(
+                f"{path}: metric {metric!r} not present; available: {', '.join(header[2:])}"
+            )
+        rows = defaultdict(dict)
+        written = clamped = 0
+        # reader.line_num, the line a record ends on, is read only for a message.
+        for row in reader:
+            if not row:
+                continue
+            try:
+                a, b = ids[row[0]], ids[row[1]]
+                if long_format:
+                    row_metric = metric_cells[row[2]]
+                value = float(row[col])
+            except (ValueError, IndexError) as exc:
+                raise DataError(f"{path}:{reader.line_num}: bad SR row: {exc}") from exc
+            if long_format and row_metric != metric:
+                continue
+            if not 0.0 <= value <= 1.0:
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}:{reader.line_num}: relatedness must be finite, got {value}"
+                    )
+                value = min(max(value, 0.0), 1.0)
+                clamped += 1
+            if a != b:
+                written += 1
+                rows[a][b] = value
+                rows[b][a] = value
     if metric not in available:
         available = ", ".join(sorted(set(available)))
         raise DataError(f"{path}: metric {metric!r} not present; available: {available}")
-    table.neighbours = dict(rows)
+    table = SRTable(metric, dict(rows))
     # Every written pair is new or overwrites an earlier one.
     if written > len(table):
         log.warning("%s: %d duplicate pair(s), last value kept", path, written - len(table))

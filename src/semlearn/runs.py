@@ -20,7 +20,6 @@ from pathlib import Path
 from . import __version__
 from .data import Dataset, DataError, load_events, read_json, split_learners
 from .evaluation import (
-    LearnerScore,
     SESSION_FEATURES,
     Trace,
     aggregate,
@@ -247,8 +246,10 @@ def replay_cohort(
 # --- evaluate ---
 
 
-def _model_report(model_id: str, scores: list[LearnerScore], prop_cfg) -> dict:
-    """One model's report entry; prop_cfg is None for a model that does not propagate."""
+def _model_report(model_id: str, traces: dict[str, Trace], prop_cfg) -> dict:
+    """One model's report entry, its learners in sorted order; prop_cfg is None for a
+    model that does not propagate."""
+    scores = [score_learner(lid, trace) for lid, trace in sorted(traces.items())]
     precision, recall, f1 = aggregate(scores)
     return {
         "model_id": model_id,
@@ -262,10 +263,10 @@ def _model_report(model_id: str, scores: list[LearnerScore], prop_cfg) -> dict:
                 "precision": s.precision,
                 "recall": s.recall,
                 "f1": s.f1,
-                "predictions": [p for p, _ in s.trace],
-                "labels": [l for _, l in s.trace],
+                "predictions": [p for p, _ in traces[s.learner_id]],
+                "labels": [l for _, l in traces[s.learner_id]],
             }
-            for s in sorted(scores, key=lambda s: s.learner_id)
+            for s in scores
         ],
     }
 
@@ -310,21 +311,19 @@ def evaluate_run(
         [(base_cfg, kind(table, prop_cfg, base_cfg) if kind else None) for kind in kinds],
         workers=workers,
     )
-    scores = [[score_learner(lid, trace) for lid, trace in column.items()] for column in traces]
     entries = [
-        _model_report(mid, model_scores, prop_cfg if kind else None)
-        for mid, kind, model_scores in zip(models, kinds, scores)
+        _model_report(mid, column, prop_cfg if kind else None)
+        for mid, kind, column in zip(models, kinds, traces)
     ]
 
     comparison = None
     if compare:
-        baseline, candidate = scores
+        baseline, candidate = (entry["learners"] for entry in entries)
         comparison = {"baseline": models[0], "candidate": models[1], "metrics": {}}
         for metric in ("precision", "recall", "f1"):
-            # Both score lists follow the same test learners in sorted order.
+            # Both entries list the same test learners in sorted order.
             t, p = paired_t_test_one_tailed(
-                [getattr(s, metric) for s in baseline],
-                [getattr(s, metric) for s in candidate],
+                [s[metric] for s in baseline], [s[metric] for s in candidate]
             )
             comparison["metrics"][metric] = {"t": t, "p": p}
 

@@ -139,6 +139,23 @@ class TestCommandLineContract:
             )
 
 
+    # An output path that is a directory: writing the file fails after the replay.
+    @pytest.mark.parametrize("command,name", [
+        ("evaluate", "report.json"), ("evaluate", "summary.csv"), ("tune", "best_config.json"),
+    ])
+    def test_output_file_that_cannot_be_written_exits_one(
+        self, corpus, tmp_path, capsys, command, name
+    ):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"beta": [1.0]}))
+        out_dir = tmp_path / "out"
+        (out_dir / name).mkdir(parents=True)
+        extra = ["--grid", grid] if command == "tune" else []
+        assert run([command, "--data", corpus["events"], *extra, "--out-dir", out_dir]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and str(out_dir / name) in last
+
+
 class TestEvaluateCommand:
     def test_baseline_smoke(self, corpus, tmp_path):
         out = tmp_path / "base"
@@ -692,13 +709,13 @@ class TestValidateData:
         assert run(["validate-data", "--data", corpus["events"], "--sr-table", sr]) == 2
         assert "SR header must start with topic_a,topic_b" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["not UTF-8", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "not UTF-8", "directory"])
     def test_unreadable_event_file_exits_two(self, tmp_path, capsys, kind):
         path = write_unreadable(tmp_path / "events.csv", kind)
         assert run(["validate-data", "--data", path]) == 2
         assert f"data error: cannot read event file {path}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["not UTF-8", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "not UTF-8", "directory"])
     def test_unreadable_sr_table_exits_two(self, corpus, tmp_path, capsys, kind):
         sr = write_unreadable(tmp_path / "sr.csv", kind)
         assert run(["validate-data", "--data", corpus["events"], "--sr-table", sr]) == 2

@@ -15,6 +15,7 @@ from semlearn.data import (
     save_events,
     split_learners,
 )
+from semlearn.relatedness import load_sr_table
 
 from oracles import events_reference
 from synthetic import random_sessions
@@ -136,14 +137,70 @@ class TestLoadCsv:
             load_events(tmp_events_csv(["a,0,1,1:0.5;2:0.5"]), top_topics=k)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="not found"):
-            load_events(tmp_path / "nope.csv")
+        path = tmp_path / "nope.csv"
+        with pytest.raises(DataError, match=re.escape(f"cannot read event file {path}")):
+            load_events(path)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("user,idx,y,topics\na,0,1,1:0.5\n")
         with pytest.raises(DataError, match="header"):
             load_events(path)
+
+
+# A record of each CSV input, the second spelling holding a quoted cell that
+# spans two physical lines.
+EVENT_RECORDS = ("a,{i},1,1:0.5", 'a,{i},1,"1:0.5;\n2:0.25"')
+SR_RECORDS = ("{i},{j},w2v,0.5", '"{i}\n",{j},w2v,0.5')
+
+
+class TestRowLineIsWhereItsRecordEnds:
+    """A row named in a message is named by the physical line its record ends on,
+    also after a record that spans two lines."""
+
+    def test_duplicate_key(self, tmp_events_csv):
+        path = tmp_events_csv(['a,0,1,"1:0.5;\n2:0.25"', "a,1,1,1:0.5", "a,0,1,1:0.5"])
+        with pytest.raises(DataError, match=re.escape(f"{path}:5: duplicate")):
+            load_events(path)
+
+    def test_first_malformed_row(self, tmp_events_csv):
+        path = tmp_events_csv(['a,0,1,"1:0.5;\n2:0.25"', "a,1,7,1:0.5"])
+        ds = load_events(path)
+        assert ds.learners["a"][0].topics == ((1, 0.5), (2, 0.25))
+        assert (ds.ingest.malformed_rows, ds.ingest.first_malformed_line) == (1, 4)
+
+    def test_non_finite_relatedness(self, tmp_path):
+        path = tmp_path / "sr.csv"
+        path.write_text('topic_a,topic_b,metric,value\n1,2,"w2v\n",0.5\n3,4,w2v,nan\n')
+        with pytest.raises(DataError, match=re.escape(f"{path}:4: relatedness must be finite")):
+            load_sr_table(path, "w2v")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shapes=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=12),
+        data=st.data(),
+        table=st.booleans(),
+    )
+    def test_any_line_after_multi_line_records(self, tmp_path_factory, shapes, data, table):
+        # shapes: per good record, whether it spans two lines and whether a
+        # blank line follows it; the bad record goes in at a drawn position.
+        records, header = (SR_RECORDS, "topic_a,topic_b,metric,value") if table else (
+            EVENT_RECORDS, "learner_id,order_index,label,topics")
+        bad = "1,2,w2v,nan" if table else "a,999,7,1:0.5"
+        good = [
+            records[two_lines].format(i=i, j=i + 100) + "\n" + "\n" * blank
+            for i, (two_lines, blank) in enumerate(shapes)
+        ]
+        bad_at = data.draw(st.integers(0, len(good)))
+        through_bad = header + "\n" + "".join(good[:bad_at]) + bad + "\n"
+        text, line = through_bad + "".join(good[bad_at:]), through_bad.count("\n")
+        path = tmp_path_factory.mktemp("lines") / "input.csv"
+        path.write_text(text)
+        if table:
+            with pytest.raises(DataError, match=re.escape(f"{path}:{line}: relatedness")):
+                load_sr_table(path, "w2v")
+        else:
+            assert load_events(path).ingest.first_malformed_line == line
 
 
 def good_row_then(path, field, value):

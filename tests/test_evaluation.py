@@ -70,7 +70,7 @@ class TestScoreLearner:
 
 class TestAggregate:
     def score(self, lid, n, p=0.0, r=0.0, f1=0.0):
-        return LearnerScore(lid, n, p, r, f1, [(1, 1)] * n)
+        return LearnerScore(lid, n, p, r, f1)
 
     def test_single_learner_identity(self):
         got = aggregate([self.score("a", 7, 0.3, 0.6, 0.4)])
