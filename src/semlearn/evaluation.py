@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .data import ENGAGED, NOT_ENGAGED, Dataset
+from .gaussians import _special
 from .relatedness import SRTable, avg_connectedness, build_topic_graph, min_cut_set_size
 
 Trace = list[tuple[int, int]]  # (prediction, label), both +-1
@@ -116,10 +117,7 @@ def paired_t_test_one_tailed(a: list[float], b: list[float]) -> tuple[float, flo
     if n < 2:
         raise ValueError("paired t-test needs at least 2 pairs")
     # report.json keeps t and p in full: the mean and deviation follow numpy's
-    # summation order bit for bit, and p comes from scipy, loaded here rather
-    # than by every command that imports this module.
-    from scipy.special import stdtr
-
+    # summation order bit for bit.
     diffs = [float(y) - float(x) for x, y in zip(a, b)]
     mean = _pairwise_sum(diffs) / n
     sd = math.sqrt(_pairwise_sum([(d - mean) * (d - mean) for d in diffs]) / (n - 1))
@@ -130,7 +128,7 @@ def paired_t_test_one_tailed(a: list[float], b: list[float]) -> tuple[float, flo
             return -math.inf, 1.0
         return 0.0, 0.5
     t = mean / (sd / math.sqrt(n))
-    p = float(stdtr(n - 1, -t))  # upper tail of Student's t with n-1 dof
+    p = float(_special().stdtr(n - 1, -t))  # upper tail of Student's t with n-1 dof
     return t, p
 
 

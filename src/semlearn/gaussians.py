@@ -36,11 +36,11 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 @functools.cache
 def _special():
-    """scipy.special, imported on first use.
+    """scipy.special, imported on first use: the package's one scipy import.
 
-    Only replays evaluate ndtr and erfcx, so commands that never replay a
-    learner do not pay for importing scipy; the cache keeps the per-event
-    cost of reaching it to one call.
+    Only replays evaluate ndtr and erfcx, and only the paired t-test stdtr,
+    so commands that do neither do not pay for importing scipy; the cache
+    keeps the per-event cost of reaching it to one call.
     """
     import scipy.special
 

@@ -1,9 +1,9 @@
 """Run orchestration: replay cohorts, grid tuning, analysis, and report files.
 
 Every run writes a manifest (config snapshot, input digests, seed) into its
-outputs; rerunning with the same inputs and seed reproduces every file
-byte-for-byte, at any worker count. Reports carry no timestamps for that
-reason.
+outputs, and one function, ``_manifest``, builds it for every command.
+Rerunning with the same inputs and seed reproduces every file byte-for-byte,
+at any worker count. Reports carry no timestamps for that reason.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -58,27 +58,27 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run's outputs byte-identically.
+def _manifest(command, models, inputs, outputs, spec=None) -> tuple[dict, str]:
+    """A run's manifest, everything needed to reproduce its outputs byte-identically,
+    and its digest: the sha256 of its canonical JSON, so key order reaches no output.
 
-    Serialized with sorted keys, so field order does not reach any output.
+    ``spec`` is the evaluate or tune run's settings; analyze passes none and
+    records its inputs' digests only.
     """
-
-    command: str
-    models: list[str]
-    inputs: dict[str, str]  # input name -> sha256
-    outputs: list[str]
-    model_config: dict = field(default_factory=dict)
-    propagation_config: dict | None = None
-    seed: int | None = None
-    train_fraction: float | None = None
-    top_learners: int | None = None
-    package_version: str = __version__
-
-    def digest(self) -> str:
-        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    manifest = {
+        "command": command,
+        "models": models,
+        "inputs": inputs,
+        "outputs": outputs,
+        "model_config": asdict(spec.model_config) if spec else {},
+        "propagation_config": (
+            asdict(spec.propagation_config) if spec and MODEL_SEMANTIC in models else None
+        ),
+        **{name: getattr(spec, name, None) for name in ("seed", "train_fraction", "top_learners")},
+        "package_version": __version__,
+    }
+    canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    return manifest, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def select_top_learners(dataset: Dataset, n: int) -> Dataset:
@@ -97,8 +97,8 @@ def select_top_learners(dataset: Dataset, n: int) -> Dataset:
 class RunSpec:
     """The settings that shape a run's outputs, built once per run.
 
-    The evaluate and tune manifests record every field but ``top_topics``,
-    the paths as their files' digests.
+    ``_manifest`` records every field but ``top_topics`` in the evaluate and
+    tune manifests, the paths as their files' digests.
     """
 
     data_path: str | Path
@@ -118,22 +118,6 @@ class RunSpec:
             prop_cfg = replace(prop_cfg, sr_metric=sr_metric)
         model_config = base_cfg or ModelConfig()
         return cls(data_path, model_config=model_config, propagation_config=prop_cfg, **settings)
-
-    def manifest(self, command, models, inputs, outputs) -> RunManifest:
-        """The evaluate or tune manifest of a run of ``models`` under this spec."""
-        return RunManifest(
-            command=command,
-            models=models,
-            inputs=inputs,
-            outputs=outputs,
-            model_config=asdict(self.model_config),
-            propagation_config=(
-                asdict(self.propagation_config) if MODEL_SEMANTIC in models else None
-            ),
-            seed=self.seed,
-            train_fraction=self.train_fraction,
-            top_learners=self.top_learners,
-        )
 
 
 def prepare_run(
@@ -173,11 +157,6 @@ def _make_out_dir(out_dir) -> Path:
     except OSError as exc:
         raise ValueError(f"cannot create output directory {out_dir}: {exc}") from exc
     return out_dir
-
-
-def _output_paths(out_dir: Path, manifest: RunManifest) -> list[Path]:
-    """The manifest's output files under ``out_dir``."""
-    return [out_dir / name for name in manifest.outputs]
 
 
 # --- cohort replay (cross-learner parallel, per-learner sequential) ---
@@ -327,17 +306,18 @@ def evaluate_run(
             )
             comparison["metrics"][metric] = {"t": t, "p": p}
 
-    manifest = spec.manifest("evaluate", models, inputs, [REPORT_FILENAME, SUMMARY_FILENAME])
-    digest = manifest.digest()
+    manifest, digest = _manifest(
+        "evaluate", models, inputs, [REPORT_FILENAME, SUMMARY_FILENAME], spec
+    )
     report = {
-        "manifest": asdict(manifest),
+        "manifest": manifest,
         "manifest_digest": digest,
         "n_test_learners": len(test_ids),
         "models": entries,
         "comparison": comparison,
     }
 
-    report_path, summary_path = _output_paths(out_dir, manifest)
+    report_path, summary_path = out_dir / REPORT_FILENAME, out_dir / SUMMARY_FILENAME
     write_json_report(report, report_path)
     _write_csv(
         summary_path,
@@ -403,14 +383,16 @@ def tune_run(
     best_cfg, best_f1 = configs[best_index], weighted[best_index][2]
 
     inputs["grid"] = file_digest(grid_path)
-    manifest = replace(spec, model_config=best_cfg).manifest(
-        "tune", [model], inputs, [BEST_CONFIG_FILENAME, TUNING_FILENAME]
+    manifest, digest = _manifest(
+        "tune",
+        [model],
+        inputs,
+        [BEST_CONFIG_FILENAME, TUNING_FILENAME],
+        replace(spec, model_config=best_cfg),
     )
-    digest = manifest.digest()
-    best_path, tuning_path = _output_paths(out_dir, manifest)
+    best_path, tuning_path = out_dir / BEST_CONFIG_FILENAME, out_dir / TUNING_FILENAME
     write_json_report(
-        {"manifest_digest": digest, "manifest": asdict(manifest), "config": asdict(best_cfg)},
-        best_path,
+        {"manifest_digest": digest, "manifest": manifest, "config": asdict(best_cfg)}, best_path
     )
     param_names = sorted(asdict(configs[0]))
     _write_csv(
@@ -536,14 +518,8 @@ def analyze_run(
     model_ids = [mid for mid, _ in columns]
 
     inputs.update({f"report_{i}": file_digest(p) for i, p in enumerate(report_paths)})
-    manifest = RunManifest(
-        command="analyze",
-        models=model_ids,
-        inputs=inputs,
-        outputs=[SROCC_FILENAME, RECALL_SERIES_FILENAME],
-    )
-    digest = manifest.digest()
-    srocc_path, series_path = _output_paths(out_dir, manifest)
+    _, digest = _manifest("analyze", model_ids, inputs, [SROCC_FILENAME, RECALL_SERIES_FILENAME])
+    srocc_path, series_path = out_dir / SROCC_FILENAME, out_dir / RECALL_SERIES_FILENAME
     _write_csv(
         srocc_path,
         digest,
