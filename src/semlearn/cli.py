@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error or an output that cannot be written,
 from __future__ import annotations
 
 import argparse
-import gc
 import logging
 import sys
 from dataclasses import fields
@@ -163,11 +162,6 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    # A command's long-lived objects are its loaded inputs, and it makes almost no
-    # cyclic garbage, so the cyclic collector would only rescan the inputs. An
-    # in-process caller gets its GC state back.
-    gc_enabled = gc.isenabled()
-    gc.disable()
     try:
         options = vars(_parser().parse_args(argv))
         options.pop("command")(**options)
@@ -180,9 +174,6 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if gc_enabled:
-            gc.enable()
     return 0
 
 

@@ -74,7 +74,9 @@ def _manifest(command, models, inputs, outputs, spec=None) -> tuple[dict, str]:
         "propagation_config": (
             asdict(spec.propagation_config) if spec and MODEL_SEMANTIC in models else None
         ),
-        **{name: getattr(spec, name, None) for name in ("seed", "train_fraction", "top_learners")},
+        "seed": spec and spec.seed,
+        "train_fraction": spec and spec.train_fraction,
+        "top_learners": spec and spec.top_learners,
         "package_version": __version__,
     }
     canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))

@@ -1,7 +1,6 @@
 import argparse
 import ast
 import csv
-import gc
 import hashlib
 import json
 import os
@@ -155,20 +154,6 @@ class TestCommandLineContract:
         assert run([command, "--data", corpus["events"], *extra, "--out-dir", out_dir]) == 1
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("error: ") and str(out_dir / name) in last
-
-    # main runs its command with the cyclic GC paused, then gives its caller the
-    # state it had on entry, after a success and after a data error alike.
-    @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("data,code", [("events", 0), ("missing", 2)])
-    def test_main_restores_the_gc_state(self, corpus, tmp_path, enabled, data, code):
-        path = corpus["events"] if data == "events" else tmp_path / "missing.csv"
-        was_enabled = gc.isenabled()
-        try:
-            (gc.enable if enabled else gc.disable)()
-            assert run(["validate-data", "--data", path]) == code
-            assert gc.isenabled() is enabled
-        finally:
-            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestEvaluateCommand:
