@@ -15,14 +15,10 @@ from .data import DataError, load_events, read_json
 from .novel import ModelConfig
 from .relatedness import METRICS, load_sr_table
 from .runs import MODELS, analyze_run, evaluate_run, tune_run
-from .semantic import PropagationConfig
+from .semantic import OMEGA_SIZES, PropagationConfig
 
-_OMEGA_CHOICES = ("1", "3", "5", "10", "all")
+_OMEGA_CHOICES = tuple(str(size or "all") for size in OMEGA_SIZES)
 _DEFAULT = "default: %(default)s"
-
-
-class UsageError(Exception):
-    """A bad command line or config file: exit code 1."""
 
 
 def _build_configs(config_path, omega):
@@ -30,23 +26,20 @@ def _build_configs(config_path, omega):
     raw = {} if config_path is None else read_json(config_path, "config file")
     if not isinstance(raw, dict):
         raise DataError(f"config file {config_path} must hold a JSON object")
-    model_keys = {f.name for f in fields(ModelConfig)}
-    prop_keys = {f.name for f in fields(PropagationConfig)}
-    unknown = set(raw) - model_keys - prop_keys
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    base_cfg = ModelConfig.from_dict({k: v for k, v in raw.items() if k in model_keys})
-    prop_raw = {k: v for k, v in raw.items() if k in prop_keys}
+    prop = {f.name: raw.pop(f.name) for f in fields(PropagationConfig) if f.name in raw}
     if omega is not None:
-        prop_raw["omega_size"] = None if omega == "all" else int(omega)
-    return {"base_cfg": base_cfg, "prop_cfg": PropagationConfig.from_dict(prop_raw)}
+        prop["omega_size"] = int(omega) if omega.isdigit() else omega
+    if prop.get("omega_size") == "all":
+        prop["omega_size"] = None
+    # ModelConfig.from_dict refuses the keys left that are not model keys, as in a grid.
+    return {"base_cfg": ModelConfig.from_dict(raw), "prop_cfg": PropagationConfig(**prop)}
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on a usage error; here 2 means a data error.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def positive_int(text: str) -> int:
@@ -109,6 +102,9 @@ def cmd_validate_data(data_path, sr_table_path, sr_metric, top_topics):
     if sr_table_path is not None:
         table = load_sr_table(sr_table_path, sr_metric)
         print(f"sr pairs ({table.metric}): {len(table)}")
+        topics = {t for events in dataset.learners.values() for e in events for t, _ in e.topics}
+        covered = len(topics & table.neighbours.keys())
+        print(f"sr coverage: {covered} of {len(topics)} event topics have a relatedness row")
 
 
 def _parser() -> _Parser:
@@ -171,7 +167,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     # OSError: an output file that cannot be written (inputs are DataErrors).
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -86,7 +86,7 @@ class ModelConfig:
         known = {f.name for f in fields(cls)}
         unknown = set(values) - known
         if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**values)
 
 

@@ -58,7 +58,7 @@ def load_sr_table(path, metric: str) -> SRTable:
     Values outside [0,1] are clamped with a warning; a value that is not
     finite is an error naming its line. Duplicate pairs keep the last value
     with a count reported. An unknown metric is an error listing what the
-    file provides.
+    file provides; a file with no rows loads as a table with no pairs.
     """
     metric = metric.lower()
     with open_text(path, "SR table", newline="") as fh, csv_reader(fh, path) as reader:
@@ -108,7 +108,9 @@ def load_sr_table(path, metric: str) -> SRTable:
                 written += 1
                 rows[a][b] = value
                 rows[b][a] = value
-    if metric not in available:
+    if not available:  # a long file's header with no rows
+        log.warning("%s: empty SR file", path)
+    elif metric not in available:
         available = ", ".join(sorted(set(available)))
         raise DataError(f"{path}: metric {metric!r} not present; available: {available}")
     table = SRTable(metric, dict(rows))

@@ -23,7 +23,7 @@ neighbors propagate overlapping information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .data import EngagementEvent, LearnerModel
 from .gaussians import Gaussian1D
@@ -63,16 +63,6 @@ class PropagationConfig:
             raise ValueError(f"unknown mixing_mode {self.mixing_mode!r}")
         if self.variance_source not in (VARIANCE_FROM_SOURCE, VARIANCE_FROM_PRIOR):
             raise ValueError(f"unknown variance_source {self.variance_source!r}")
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "PropagationConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
-        if unknown:
-            raise ValueError(f"unknown propagation config keys: {sorted(unknown)}")
-        if values.get("omega_size") == "all":
-            values = dict(values, omega_size=None)
-        return cls(**values)
 
 
 def propagate_prior(

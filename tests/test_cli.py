@@ -246,6 +246,13 @@ class TestEvaluateCommand:
                     "--config", cfg_path]) == 1
         assert "beta must be finite" in capsys.readouterr().err
 
+    def test_unknown_config_key_is_usage_error_before_loading(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"betta": 1.0}))
+        assert run(["evaluate", "--data", tmp_path / "missing.csv",
+                    "--config", cfg_path]) == 1
+        assert "error: unknown config keys: ['betta']" in capsys.readouterr().err
+
     def test_config_that_is_not_utf8_is_data_error_before_loading(self, tmp_path, capsys):
         cfg_path = write_unreadable(tmp_path / "cfg.json", "not UTF-8")
         assert run(["evaluate", "--data", tmp_path / "missing.csv",
@@ -411,6 +418,18 @@ class TestTuneCommand:
         grid.write_text(json.dumps({"draw_margin_eps": [0.6]}))
         assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid,
                     "--config", cfg_path]) == 1
+
+    # The event file is missing: reading it would exit 2.
+    @pytest.mark.parametrize(
+        "grid,key", [({"omega_size": [1, 3]}, "omega_size"), ({"betta": [1.0]}, "betta")]
+    )
+    def test_grid_key_that_is_not_a_model_key_is_usage_error_before_loading(
+        self, tmp_path, capsys, grid, key
+    ):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid_path]) == 1
+        assert f"config keys: [{key!r}]" in capsys.readouterr().err
 
     def test_load_grid_order(self, tmp_path):
         grid = tmp_path / "grid.json"
@@ -684,6 +703,27 @@ class TestValidateData:
         out = capsys.readouterr().out
         assert "malformed rows: 1" in out
         assert "first at line 2" in out
+
+    def test_sr_coverage_counts_event_topics_with_a_row(self, tmp_path, capsys):
+        path = tmp_path / "events.csv"
+        path.write_text("learner_id,order_index,label,topics\na,0,1,1:0.5;2:0.5\na,1,1,3:0.5\n")
+        sr = tmp_path / "sr.csv"
+        sr.write_text("topic_a,topic_b,metric,value\n1,2,w2v,0.5\n2,9,w2v,0.5\n")
+        assert run(["validate-data", "--data", path, "--sr-table", sr]) == 0
+        assert "sr coverage: 2 of 3 event topics have a relatedness row" in (
+            capsys.readouterr().out
+        )
+        # Topic 2 is cut by --top-topics, so only topics 1 and 3 are counted.
+        assert run(["validate-data", "--data", path, "--sr-table", sr, "--top-topics", 1]) == 0
+        assert "sr coverage: 1 of 2 event topics have a relatedness row" in (
+            capsys.readouterr().out
+        )
+
+    def test_long_sr_header_without_rows_is_a_table_with_no_pairs(self, corpus, tmp_path, capsys):
+        sr = tmp_path / "sr.csv"
+        sr.write_text("topic_a,topic_b,metric,value\n")
+        assert run(["validate-data", "--data", corpus["events"], "--sr-table", sr]) == 0
+        assert "sr pairs (w2v): 0" in capsys.readouterr().out
 
     def test_duplicate_key_exits_two(self, tmp_path):
         path = tmp_path / "events.csv"

@@ -115,6 +115,11 @@ class TestLoadSrTable:
         assert load_sr_table(path, "pmi").neighbours.get(1, {}).get(2, 0.0) == 0.3
         assert load_sr_table(path, "ba").neighbours.get(2, {}).get(1, 0.0) == 0.7
 
+    def test_long_header_without_rows_loads_as_no_pairs(self, tmp_path, caplog):
+        path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,metric,value"])
+        assert len(load_sr_table(path, "w2v")) == 0
+        assert "empty SR file" in caplog.text
+
     def test_wide_format_unknown_metric(self, tmp_path):
         path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,mw", "1,2,0.1"])
         with pytest.raises(DataError, match="available: mw"):

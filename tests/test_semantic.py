@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semlearn.semantic
+from semlearn.cli import _build_configs
 from semlearn.data import EngagementEvent, LearnerModel
 from semlearn.gaussians import Gaussian1D
 from semlearn.novel import ModelConfig, predict, replay_session, update
@@ -29,9 +30,10 @@ def model_with(skills: dict[int, tuple[float, float]]) -> LearnerModel:
 
 
 class TestPropagationConfig:
-    def test_omega_all_from_dict(self):
-        cfg = PropagationConfig.from_dict({"sr_metric": "mw", "omega_size": "all"})
-        assert cfg.omega_size is None
+    def test_omega_all_from_dict(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sr_metric": "mw", "omega_size": "all"}))
+        assert _build_configs(cfg_path, None)["prop_cfg"].omega_size is None
 
     @pytest.mark.parametrize(
         "kwargs",
