@@ -55,18 +55,14 @@ def zero_table(metric: str = "w2v") -> SRTable:
 def load_sr_table(path, metric: str) -> SRTable:
     """Load one metric's SR table from a long- or wide-format CSV.
 
-    Values outside [0,1] are clamped with a warning; a value that is not
-    finite is an error naming its line. Duplicate pairs keep the last value
-    with a count reported. An unknown metric is an error listing what the
-    file provides; a file with no rows loads as a table with no pairs.
+    Values outside [0,1] are clamped with a warning; a value that is not finite is an
+    error naming its line. Duplicate pairs keep the last value with a count reported. An
+    unknown metric is an error listing what the file provides. A file with no rows loads
+    as a table with no pairs, and a zero-byte file reads as a long-format header.
     """
     metric = metric.lower()
     with open_text(path, "SR table", newline="") as fh, csv_reader(fh, path) as reader:
-        header = next(reader, None)
-        if header is None:
-            log.warning("%s: empty SR file", path)
-            return SRTable(metric)
-        header = [h.strip().lower() for h in header]
+        header = [h.strip().lower() for h in next(reader, ["topic_a", "topic_b", "metric", "value"])]
         if header[:2] != ["topic_a", "topic_b"]:
             raise DataError(f"{path}: SR header must start with topic_a,topic_b")
         long_format = header[2:] == ["metric", "value"]
@@ -108,7 +104,7 @@ def load_sr_table(path, metric: str) -> SRTable:
                 written += 1
                 rows[a][b] = value
                 rows[b][a] = value
-    if not available:  # a long file's header with no rows
+    if not available:  # a long file's header (or a zero-byte file) with no rows
         log.warning("%s: empty SR file", path)
     elif metric not in available:
         available = ", ".join(sorted(set(available)))
@@ -185,14 +181,6 @@ def min_cut_set_size(graph: LearnerTopicGraph) -> int:
     for a, b in graph.edges:
         adjacent[index[a]].add(index[b])
         adjacent[index[b]].add(index[a])
-    reached, stack = {0}, [0]
-    while stack:
-        for w in adjacent[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) < n:
-        return 0
     arcs = None  # the node-split graph, built at the first flow
     v = min(range(n), key=lambda u: len(adjacent[u]))
     k = len(adjacent[v])
@@ -201,12 +189,14 @@ def min_cut_set_size(graph: LearnerTopicGraph) -> int:
     # beyond S: v and its neighbours from the start, and each w once checked,
     # since then κ(v, w) >= k and k only falls. If w has k known neighbours
     # and lay beyond such an S, all k would sit inside S, which is too small;
-    # so κ(v, w) >= k is certified and the flow is skipped.
+    # so κ(v, w) >= k is certified and the flow is skipped. A disconnected graph needs no
+    # pass of its own: an isolated v starts k at 0, and else the first w popped outside v's
+    # component has no known neighbour, so its flow finds no path and sets k to 0, ending the phase.
     known = adjacent[v] | {v}
     known_neighbours = [len(adjacent[w] & known) for w in range(n)]
     heap = [(-known_neighbours[w], w) for w in range(n) if w not in known]
     heapq.heapify(heap)
-    while heap:
+    while heap and k:
         w = heapq.heappop(heap)[1]
         if w in known:
             continue  # a stale entry: w was pushed again with a higher count

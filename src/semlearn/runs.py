@@ -79,6 +79,8 @@ def _manifest(command, models, inputs, outputs, spec=None) -> tuple[dict, str]:
         "top_learners": spec and spec.top_learners,
         "package_version": __version__,
     }
+    if spec and spec.top_topics is not None:  # absent: no truncation, as in older manifests
+        manifest["top_topics"] = spec.top_topics
     canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     return manifest, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -99,8 +101,8 @@ def select_top_learners(dataset: Dataset, n: int) -> Dataset:
 class RunSpec:
     """The settings that shape a run's outputs, built once per run.
 
-    ``_manifest`` records every field but ``top_topics`` in the evaluate and
-    tune manifests, the paths as their files' digests.
+    ``_manifest`` records every field in the evaluate and tune manifests, the
+    paths as their files' digests and ``top_topics`` only when it is set.
     """
 
     data_path: str | Path

@@ -2,6 +2,7 @@ import argparse
 import ast
 import csv
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -253,6 +254,13 @@ class TestEvaluateCommand:
                     "--config", cfg_path]) == 1
         assert "error: unknown config keys: ['betta']" in capsys.readouterr().err
 
+    def test_config_that_is_not_an_object_is_data_error_before_loading(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1.0]")
+        assert run(["evaluate", "--data", tmp_path / "missing.csv",
+                    "--config", cfg_path]) == 2
+        assert f"config file {cfg_path} must hold a JSON object" in capsys.readouterr().err
+
     def test_config_that_is_not_utf8_is_data_error_before_loading(self, tmp_path, capsys):
         cfg_path = write_unreadable(tmp_path / "cfg.json", "not UTF-8")
         assert run(["evaluate", "--data", tmp_path / "missing.csv",
@@ -365,6 +373,15 @@ class TestTuneCommand:
         # The data file does not exist: loading it would fail with another message.
         assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid]) == 2
         assert f"data error: cannot read grid file {grid}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [[], 0.5, "0.5"])
+    def test_grid_entry_that_is_not_a_non_empty_list_is_data_error_before_loading(
+        self, tmp_path, capsys, values
+    ):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"beta": values}))
+        assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid]) == 2
+        assert "grid entry 'beta' must be a non-empty list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("values", [["a"], [0.5, True]])
     def test_non_numeric_grid_value_is_usage_error_before_loading(self, tmp_path, values):
@@ -1050,11 +1067,38 @@ def test_benchmark_tracer_finds_what_it_wraps(corpus, tmp_path):
     assert "runs.replay_cohort.parallel_s" in result["counters"]
 
 
+def test_benchmark_workloads_match_the_seed_one_reference(tmp_path, monkeypatch):
+    # perfbench/run.py's byte-identity check, in process at one worker: every input
+    # and every command's outputs against seed 1 of perfbench/reference.json.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if not (bench / "run.py").is_file():
+        pytest.skip("perfbench/ is not beside the tests")
+    pytest.importorskip("numpy")
+    monkeypatch.syspath_prepend(str(bench))
+    bench_run = importlib.import_module("run")
+    monkeypatch.setattr(bench_run, "OUT", tmp_path)  # inputs are written here, not in perfbench/
+    reference = bench_run.load_reference("full", 1)
+    inputs = bench_run.make_inputs(1, "full")
+    assert {key: digest(path) for key, path in inputs.items()} == reference["inputs"]
+    for name, workload in bench_run.WORKLOADS.items():
+        work = tmp_path / name
+        commands = workload.prepare(inputs, work)
+        commands["outputs"] = workload.command(inputs, work, work / "outputs", 1)
+        for key, command in commands.items():
+            assert run(command.args) == 0, (name, key)
+            written = {output: digest(work / key / output) for output in command.outputs}
+            assert written == reference[name][key], (name, key)
+
+
 class TestRunHelpers:
     def test_select_top_learners_tie_break(self):
         ds = random_sessions(n_learners=6, seed=2, min_events=3, max_events=3)
         subset = select_top_learners(ds, 4)
         assert subset.learner_ids() == sorted(ds.learner_ids())[:4]
+
+    def test_select_top_learners_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="top_learners must be >= 1, got 0"):
+            select_top_learners(random_sessions(n_learners=3, seed=2), 0)
 
     def test_evaluate_run_report_embeds_manifest_digest(self, corpus, tmp_path):
         out = evaluate_run(corpus["events"], tmp_path / "api_run", seed=3)
@@ -1151,6 +1195,20 @@ class TestManifests:
             "seed": 42, "top_learners": None, "train_fraction": 0.7,
         })
 
+    @pytest.mark.parametrize("command, written", [
+        ("evaluate", "report.json"), ("tune", "best_config.json"),
+    ])
+    def test_top_topics_is_recorded_when_set(self, corpus, tmp_path, command, written):
+        # Manifests without the key, every one above included, mean no truncation.
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"beta": [0.5]}))
+        grid_args = ["--grid", grid] if command == "tune" else []
+        assert run([command, "--data", corpus["events"], *grid_args, "--top-topics", 1,
+                    "--out-dir", tmp_path / "out"]) == 0
+        out = json.loads((tmp_path / "out" / written).read_text())
+        assert out["manifest"]["top_topics"] == 1
+        assert out["manifest_digest"] == canonical_digest(out["manifest"])
+
     def test_analyze(self, corpus, tmp_path):
         # analyze writes only the digest, so the test rebuilds the manifest it stands for.
         report = tmp_path / "base" / "report.json"
@@ -1189,7 +1247,6 @@ class TestManifests:
 # RunSpec fields that change a run's outputs but not its manifest, each with its reason.
 # Recording them changes every output digest, perfbench/reference.json included.
 MANIFEST_GAPS = {
-    "top_topics": "the evaluate and tune manifests do not record --top-topics yet",
     "analyze sr_metric": "analyze records its inputs' digests only, not the metric of the table",
 }
 

@@ -111,6 +111,13 @@ class TestLoadCsv:
         assert ds.ingest.first_malformed_line == 3
         assert [e.order_index for e in ds.learners["a"]] == [0, 3]
 
+    @pytest.mark.parametrize("row", ["a,1,1", "a,1,1,3:0.5,x"])
+    def test_row_without_four_cells_is_malformed(self, tmp_events_csv, row):
+        ds = load_events(tmp_events_csv(["a,0,1,3:0.5", row]))
+        assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
+        assert ds.ingest.first_malformed_line == 3
+        assert "expected 4 columns" in ds.ingest.first_malformed_reason
+
     def test_depth_clamped_with_counter(self, tmp_events_csv):
         ds = load_events(tmp_events_csv(["a,0,1,1:1.5;2:-0.25"]))
         assert ds.learners["a"][0].topics == ((1, 1.0), (2, 0.0))
@@ -452,6 +459,10 @@ class TestRoundTrip:
         save_events(ds, path, fmt=fmt)
         back = load_events(path)
         assert back == Dataset(learners=ds.learners)
+
+    def test_unknown_format_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown event format 'tsv'"):
+            save_events(random_sessions(n_learners=2, seed=3), tmp_path / "events.tsv", fmt="tsv")
 
     @pytest.mark.parametrize("fmt,misnamed", [("jsonl", "events.csv"), ("csv", "events.jsonl")])
     def test_format_comes_from_the_content_not_the_name(self, tmp_path, fmt, misnamed):

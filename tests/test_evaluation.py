@@ -72,6 +72,10 @@ class TestAggregate:
     def score(self, lid, n, p=0.0, r=0.0, f1=0.0):
         return LearnerScore(lid, n, p, r, f1)
 
+    def test_no_scores_rejected(self):
+        with pytest.raises(ValueError, match="at least one learner score"):
+            aggregate([])
+
     def test_single_learner_identity(self):
         got = aggregate([self.score("a", 7, 0.3, 0.6, 0.4)])
         assert got == (pytest.approx(0.3), pytest.approx(0.6), pytest.approx(0.4))
@@ -207,6 +211,17 @@ class TestSrocc:
 
     def test_constant_vector_undefined(self):
         rho, p = srocc([1.0, 1.0, 1.0, 1.0], [1, 2, 3, 4])
+        assert math.isnan(rho) and math.isnan(p)
+
+    @pytest.mark.parametrize("x,y,message", [
+        ([1, 2, 3], [1, 2], "differ in length"), ([1, 2], [2, 1], "at least 3"),
+    ])
+    def test_rejects_mismatched_or_short(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            srocc(x, y)
+
+    def test_exact_permutation_of_constant_vector_undefined(self):
+        rho, p = srocc_exact_permutation([2.0, 2.0, 2.0], [1, 2, 3])
         assert math.isnan(rho) and math.isnan(p)
 
     def test_ties_match_rank_then_pearson_oracle(self):

@@ -52,6 +52,18 @@ class TestGaussian1D:
         with pytest.raises(ValueError):
             Gaussian1D(0.0, variance)
 
+    @pytest.mark.parametrize("precision", [-1.0, math.nan])
+    def test_from_natural_rejects_bad_precision(self, precision):
+        with pytest.raises(ValueError, match="precision must be >= 0"):
+            Gaussian1D.from_natural(precision, 0.0)
+
+    @pytest.mark.parametrize("g,text", [
+        (Gaussian1D(0.5, 2.0), "Gaussian1D(mean=0.5, variance=2.0)"),
+        (UNINFORMATIVE, "Gaussian1D(uninformative)"),
+    ])
+    def test_repr(self, g, text):
+        assert repr(g) == text
+
     def test_immutable(self):
         g = Gaussian1D(0.0, 1.0)
         with pytest.raises(AttributeError):
@@ -142,6 +154,13 @@ class TestMultiplyDivide:
         back = divide(multiply(a, b), b)
         assert abs(back.mean - a.mean) <= 4 * EPS * (magnitude + kappa * abs(a.mean))
         assert abs(back.variance - a.variance) <= 4 * EPS * kappa * a.variance
+
+
+@pytest.mark.parametrize("moments", [truncated_moments_within, truncated_moments_above])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_t_is_rejected(moments, t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        moments(t, 0.5)
 
 
 class TestTruncatedWithin:

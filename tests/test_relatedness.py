@@ -120,6 +120,14 @@ class TestLoadSrTable:
         assert len(load_sr_table(path, "w2v")) == 0
         assert "empty SR file" in caplog.text
 
+    @pytest.mark.parametrize("metric", ["w2v", "pmi"])
+    def test_zero_byte_file_loads_as_no_pairs(self, tmp_path, caplog, metric):
+        path = tmp_path / "sr.csv"
+        path.write_bytes(b"")
+        table = load_sr_table(path, metric)
+        assert (len(table), table.metric) == (0, metric)
+        assert "empty SR file" in caplog.text
+
     def test_wide_format_unknown_metric(self, tmp_path):
         path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,mw", "1,2,0.1"])
         with pytest.raises(DataError, match="available: mw"):
@@ -505,7 +513,7 @@ class TestVertexConnectivity:
     def test_flow_budget_on_the_analyze_benchmark_graphs(self, flow_calls, split_calls):
         # The 60 test learners of corpus B, as the analyze benchmark splits
         # them. One flow per non-neighbour and per neighbour pair made 2,562
-        # calls here; the certification pass makes 141. Each graph builds
+        # calls here; the certification pass makes 142. Each graph builds
         # its node-split graph once, and only if it needs a flow.
         table = random_sr_table(seed=1, topic_pool=2000, n_pairs=200_000)
         sessions = random_sessions(
