@@ -14,25 +14,29 @@ from dataclasses import fields
 from .data import DataError, load_events, read_json
 from .novel import ModelConfig
 from .relatedness import METRICS, load_sr_table
-from .runs import MODELS, analyze_run, evaluate_run, tune_run
+from .runs import MODELS, RunSpec, analyze_run, evaluate_run, tune_run
 from .semantic import OMEGA_SIZES, PropagationConfig
 
 _OMEGA_CHOICES = tuple(str(size or "all") for size in OMEGA_SIZES)
 _DEFAULT = "default: %(default)s"
 
 
-def _build_configs(config_path, omega):
-    """The run functions' base_cfg and prop_cfg: the config file, with --omega applied."""
+def _spec(config_path=None, omega=None, sr_metric=None, **options) -> RunSpec:
+    """A command's RunSpec: the --config keys, then --omega and --sr-metric laid over
+    them, then the remaining options by their RunSpec field names."""
     raw = {} if config_path is None else read_json(config_path, "config file")
     if not isinstance(raw, dict):
         raise DataError(f"config file {config_path} must hold a JSON object")
     prop = {f.name: raw.pop(f.name) for f in fields(PropagationConfig) if f.name in raw}
     if omega is not None:
         prop["omega_size"] = int(omega) if omega.isdigit() else omega
+    if sr_metric is not None:
+        prop["sr_metric"] = sr_metric
     if prop.get("omega_size") == "all":
         prop["omega_size"] = None
     # ModelConfig.from_dict refuses the keys left that are not model keys, as in a grid.
-    return {"base_cfg": ModelConfig.from_dict(raw), "prop_cfg": PropagationConfig(**prop)}
+    cfg = ModelConfig.from_dict(raw)
+    return RunSpec(model_config=cfg, propagation_config=PropagationConfig(**prop), **options)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,9 +61,9 @@ def fraction(text: str) -> float:
     return value
 
 
-def cmd_evaluate(config_path, omega, **options):
+def cmd_evaluate(out_dir, model, compare, workers, **settings):
     """Replay test-split learners sequentially and write JSON + CSV reports."""
-    out = evaluate_run(**options, **_build_configs(config_path, omega))
+    out = evaluate_run(_spec(**settings), out_dir, model, compare=compare, workers=workers)
     for entry in out["report_obj"]["models"]:
         weighted = entry["weighted"]
         print(
@@ -73,17 +77,17 @@ def cmd_evaluate(config_path, omega, **options):
     print(f"wrote {out['report']} and {out['summary']}")
 
 
-def cmd_tune(config_path, omega, **options):
+def cmd_tune(grid_path, out_dir, model, workers, **settings):
     """Grid-search hyperparameters on the train split; select by weighted F1."""
-    out = tune_run(**options, **_build_configs(config_path, omega))
+    out = tune_run(_spec(**settings), grid_path, out_dir, model, workers=workers)
     print(f"best F1 {out['best_f1']:.4f} with config {out['best_config']}")
     for path in out["paths"]:
         print(f"wrote {path}")
 
 
-def cmd_analyze(reports, **options):
+def cmd_analyze(reports, out_dir, **settings):
     """Emit the per-feature SROCC table and recall-by-event series for evaluate reports."""
-    out = analyze_run(reports, **options)
+    out = analyze_run(reports, _spec(**settings), out_dir)
     print(f"wrote {out['srocc']} and {out['recall_series']}")
 
 

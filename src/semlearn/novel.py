@@ -178,12 +178,16 @@ def update(
             side = 1.0 if t >= 0.0 else -1.0
             v, w = truncated_moments_above(side * t, margin)
             v *= side
-        for (topic_id, _), d, mu, var in zip(event.topics, depths, means, variances):
+        for i, ((topic, _), d, mu, var) in enumerate(zip(event.topics, depths, means, variances)):
             new_mean = mu + d * var * v / scale
             new_var = var * (1.0 - w * d * d * var / var_d)
             if new_var <= 0.0:
-                new_var = _VARIANCE_FLOOR
-            model.skills[topic_id] = Gaussian1D(new_mean, new_var)
+                # 1 - w*d*d*var/var_d cancels where d*d*var dominates var_d. Its equal
+                # (1 - w) + w*rest/var_d sums rest = var_d - d*d*var with topic i left out.
+                others = [*variances[:i], 0.0, *variances[i + 1 :]]
+                rest = _difference_moments(depths, means, others, cfg)[1]
+                new_var = max(var * ((1.0 - w) + w * rest / var_d), _VARIANCE_FLOOR)
+            model.skills[topic] = Gaussian1D(new_mean, new_var)
     for topic_id, _ in event.topics:
         model.topics_seen.add(topic_id)
     return outputs

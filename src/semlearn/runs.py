@@ -58,28 +58,29 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(command, models, inputs, outputs, spec=None) -> tuple[dict, str]:
+def _manifest(command, models, inputs, outputs, spec) -> tuple[dict, str]:
     """A run's manifest, everything needed to reproduce its outputs byte-identically,
     and its digest: the sha256 of its canonical JSON, so key order reaches no output.
 
-    ``spec`` is the evaluate or tune run's settings; analyze passes none and
-    records its inputs' digests only.
+    analyze replays nothing, so of its spec it records only ``top_topics``,
+    beside its inputs' digests.
     """
+    replayed = None if command == "analyze" else spec
     manifest = {
         "command": command,
         "models": models,
         "inputs": inputs,
         "outputs": outputs,
-        "model_config": asdict(spec.model_config) if spec else {},
+        "model_config": asdict(replayed.model_config) if replayed else {},
         "propagation_config": (
-            asdict(spec.propagation_config) if spec and MODEL_SEMANTIC in models else None
+            asdict(replayed.propagation_config) if replayed and MODEL_SEMANTIC in models else None
         ),
-        "seed": spec and spec.seed,
-        "train_fraction": spec and spec.train_fraction,
-        "top_learners": spec and spec.top_learners,
+        "seed": replayed and replayed.seed,
+        "train_fraction": replayed and replayed.train_fraction,
+        "top_learners": replayed and replayed.top_learners,
         "package_version": __version__,
     }
-    if spec and spec.top_topics is not None:  # absent: no truncation, as in older manifests
+    if spec.top_topics is not None:  # absent: no truncation, as in older manifests
         manifest["top_topics"] = spec.top_topics
     canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     return manifest, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -102,7 +103,8 @@ class RunSpec:
     """The settings that shape a run's outputs, built once per run.
 
     ``_manifest`` records every field in the evaluate and tune manifests, the
-    paths as their files' digests and ``top_topics`` only when it is set.
+    paths as their files' digests and ``top_topics`` only when it is set;
+    analyze's manifest records the paths and ``top_topics``.
     """
 
     data_path: str | Path
@@ -113,15 +115,6 @@ class RunSpec:
     train_fraction: float = 0.7
     top_learners: int | None = None
     top_topics: int | None = None
-
-    @classmethod
-    def of(cls, data_path, *, sr_metric=None, base_cfg=None, prop_cfg=None, **settings):
-        """A spec from the run functions' keywords; ``sr_metric`` overrides prop_cfg's metric."""
-        prop_cfg = prop_cfg or PropagationConfig()
-        if sr_metric is not None:
-            prop_cfg = replace(prop_cfg, sr_metric=sr_metric)
-        model_config = base_cfg or ModelConfig()
-        return cls(data_path, model_config=model_config, propagation_config=prop_cfg, **settings)
 
 
 def prepare_run(
@@ -138,7 +131,7 @@ def prepare_run(
     table = None
     if needs_table:
         if spec.sr_table_path is None:
-            raise ValueError("the semantic model needs an SR table (--sr-table)")
+            raise ValueError("the semantic model, like analyze, needs an SR table (--sr-table)")
         table = load_sr_table(spec.sr_table_path, spec.propagation_config.sr_metric)
 
     dataset = load_events(spec.data_path, top_topics=spec.top_topics)
@@ -229,15 +222,15 @@ def replay_cohort(
 # --- evaluate ---
 
 
-def _model_report(model_id: str, traces: dict[str, Trace], prop_cfg) -> dict:
-    """One model's report entry, its learners in sorted order; prop_cfg is None for a
-    model that does not propagate."""
+def _model_report(model_id: str, traces: dict[str, Trace], propagation) -> dict:
+    """One model's report entry, its learners in sorted order; ``propagation`` is
+    None for a model that does not propagate."""
     scores = [score_learner(lid, trace) for lid, trace in sorted(traces.items())]
     precision, recall, f1 = aggregate(scores)
     return {
         "model_id": model_id,
-        "sr_metric": prop_cfg and prop_cfg.sr_metric,
-        "omega": prop_cfg and (prop_cfg.omega_size or "all"),
+        "sr_metric": propagation and propagation.sr_metric,
+        "omega": propagation and (propagation.omega_size or "all"),
         "weighted": {"precision": precision, "recall": recall, "f1": f1},
         "learners": [
             {
@@ -269,15 +262,10 @@ def _write_csv(path: Path, digest: str, header: list[str], rows, *notes: str) ->
 
 
 def evaluate_run(
-    data_path, out_dir, model: str = MODEL_BASELINE, *, compare=False, workers=1, **settings
+    spec: RunSpec, out_dir, model: str = MODEL_BASELINE, *, compare=False, workers=1
 ) -> dict:
-    """Replay the test split under one model (or both with compare) and write reports.
-
-    ``settings`` are ``RunSpec.of``'s keywords.
-    """
+    """Replay the test split under one model (or both with compare) and write reports."""
     out_dir = _make_out_dir(out_dir)
-    spec = RunSpec.of(data_path, **settings)
-    base_cfg, prop_cfg = spec.model_config, spec.propagation_config
     models = [MODEL_BASELINE, MODEL_SEMANTIC] if compare else [model]
     kinds = [_propagator_type(mid) for mid in models]
     dataset, table, inputs = prepare_run(spec, needs_table=any(kinds), split=True)
@@ -288,14 +276,15 @@ def evaluate_run(
             "the paired t-test of --compare needs at least 2"
         )
 
+    cfg = spec.model_config
     traces = replay_cohort(
         dataset,
         test_ids,
-        [(base_cfg, kind(table, prop_cfg, base_cfg) if kind else None) for kind in kinds],
+        [(cfg, kind(table, spec.propagation_config, cfg) if kind else None) for kind in kinds],
         workers=workers,
     )
     entries = [
-        _model_report(mid, column, prop_cfg if kind else None)
+        _model_report(mid, column, spec.propagation_config if kind else None)
         for mid, kind, column in zip(models, kinds, traces)
     ]
 
@@ -338,9 +327,9 @@ def evaluate_run(
 # --- tune ---
 
 
-def load_grid(path, base_cfg: ModelConfig | None = None) -> list[ModelConfig]:
-    """Expand a JSON grid file ({param: [values...]}) over ``base_cfg``, in file order."""
-    base = asdict(base_cfg or ModelConfig())
+def load_grid(path, base: ModelConfig = ModelConfig()) -> list[ModelConfig]:
+    """Expand a JSON grid file ({param: [values...]}) over ``base``, in file order."""
+    defaults = asdict(base)
     grid = read_json(path, "grid file")
     if not isinstance(grid, dict) or not grid:
         raise DataError(f"{path}: grid file must be a non-empty JSON object")
@@ -353,21 +342,18 @@ def load_grid(path, base_cfg: ModelConfig | None = None) -> list[ModelConfig]:
         value_lists.append(values)
     configs = []
     for combo in itertools.product(*value_lists):
-        configs.append(ModelConfig.from_dict({**base, **dict(zip(names, combo))}))
+        configs.append(ModelConfig.from_dict({**defaults, **dict(zip(names, combo))}))
     return configs
 
 
-def tune_run(
-    data_path, grid_path, out_dir, model: str = MODEL_BASELINE, *, workers=1, **settings
-) -> dict:
+def tune_run(spec: RunSpec, grid_path, out_dir, model: str = MODEL_BASELINE, *, workers=1) -> dict:
     """Grid-search hyperparameters on the train split, selecting by weighted F1.
 
     Ties keep the earliest grid point. Writes the chosen config and the full
-    per-point results table. ``settings`` are ``RunSpec.of``'s keywords; the
-    spec's model config is the base of every grid point.
+    per-point results table. The spec's model config is the base of every
+    grid point.
     """
     out_dir = _make_out_dir(out_dir)
-    spec = RunSpec.of(data_path, **settings)
     kind = _propagator_type(model)
     configs = load_grid(grid_path, spec.model_config)
     dataset, table, inputs = prepare_run(spec, needs_table=kind is not None, split=True)
@@ -466,15 +452,10 @@ def _significant_rho(rho: float, p: float) -> str:
     return f"{rho:.4f}" if not math.isnan(rho) and p < SIGNIFICANCE_LEVEL else ""
 
 
-def analyze_run(
-    report_paths,
-    data_path,
-    sr_table_path,
-    out_dir,
-    sr_metric: str = "w2v",
-    top_topics: int | None = None,
-) -> dict:
+def analyze_run(report_paths, spec: RunSpec, out_dir) -> dict:
     """Emit the SROCC feature table and recall-by-event series for given reports.
+
+    Of the spec, analyze reads the two paths, the metric and ``top_topics``.
 
     All reports must come from the same dataset (digest check), cover the
     same learner set, and hold one trace entry per event of each learner.
@@ -489,9 +470,6 @@ def analyze_run(
         raise DataError("reports cover different learner sets; refusing to analyze")
     if len(learner_ids) < 3:
         raise DataError(f"reports cover {len(learner_ids)} learner(s); analyze needs at least 3")
-    spec = RunSpec.of(
-        data_path, sr_table_path=sr_table_path, sr_metric=sr_metric, top_topics=top_topics
-    )
     dataset, table, inputs = prepare_run(spec, needs_table=True, split=False)
     for path, (data_digest, _) in zip(report_paths, reports):
         if data_digest != inputs["data"]:
@@ -522,7 +500,9 @@ def analyze_run(
     model_ids = [mid for mid, _ in columns]
 
     inputs.update({f"report_{i}": file_digest(p) for i, p in enumerate(report_paths)})
-    _, digest = _manifest("analyze", model_ids, inputs, [SROCC_FILENAME, RECALL_SERIES_FILENAME])
+    _, digest = _manifest(
+        "analyze", model_ids, inputs, [SROCC_FILENAME, RECALL_SERIES_FILENAME], spec
+    )
     srocc_path, series_path = out_dir / SROCC_FILENAME, out_dir / RECALL_SERIES_FILENAME
     _write_csv(
         srocc_path,

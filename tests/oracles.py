@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths it checks: truncated
 moments come from adaptive quadrature, posteriors from grid integration,
-ranks and correlation from the plain textbook formulas, and connectivity
-from exhaustive subset removal.
+a team update's posterior variances from exact rational arithmetic, ranks
+and correlation from the plain textbook formulas, and connectivity from
+exhaustive subset removal.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -92,6 +94,17 @@ def single_topic_posterior_grid(
     mean = np.trapezoid(s * post, s) / mass
     second = np.trapezoid(s * s * post, s) / mass
     return mean, second - mean * mean
+
+
+def team_posterior_variance_exact(depths, variances, index, w, beta_perf) -> Fraction:
+    """Topic ``index``'s posterior variance var_i * (1 - w * d_i^2 * var_i / var_D) after a
+    team update with variance correction ``w``, in Fraction arithmetic from the step's
+    float inputs: var_D = sum_j d_j^2 * var_j + 2 * beta_perf * sum_j d_j^2, unrounded."""
+    d = [Fraction(x) for x in depths]
+    v = [Fraction(x) for x in variances]
+    var_d = sum(dj * dj * vj for dj, vj in zip(d, v))
+    var_d += 2 * Fraction(beta_perf) * sum(dj * dj for dj in d)
+    return v[index] * (1 - Fraction(w) * d[index] * d[index] * v[index] / var_d)
 
 
 def propagation_mc(neighbors, n_samples: int, seed: int) -> tuple[float, float]:

@@ -198,16 +198,12 @@ def test_criterion_6_external_dataset_reproduction(tmp_path):
     """With the external lecture-engagement corpus and its relatedness tables
     supplied, the reference F1 scores must reproduce within +-0.02 (the slack
     covers hyperparameters the reference runs leave unstated)."""
-    from semlearn.runs import evaluate_run
+    from semlearn.runs import RunSpec, evaluate_run
 
-    out = evaluate_run(
-        os.environ["SEMLEARN_PEEK_EVENTS"],
-        tmp_path / "peek",
-        sr_table_path=os.environ["SEMLEARN_SR_TABLE"],
-        sr_metric="w2v",
-        compare=True,
-        seed=42,
+    spec = RunSpec(
+        os.environ["SEMLEARN_PEEK_EVENTS"], sr_table_path=os.environ["SEMLEARN_SR_TABLE"], seed=42
     )
+    out = evaluate_run(spec, tmp_path / "peek", compare=True)
     models = {m["model_id"]: m["weighted"]["f1"] for m in out["report_obj"]["models"]}
     assert abs(models["truelearn-novel"] - 0.6471) <= 0.02
     assert abs(models["semantic-truelearn"] - 0.6512) <= 0.02

@@ -9,14 +9,14 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
 import semlearn
 from semlearn import evaluation, runs
-from semlearn.cli import _parser, main
+from semlearn.cli import _parser, _spec, main
 from semlearn.data import LearnerModel, save_events, split_learners
 from semlearn.novel import ModelConfig, update
 from semlearn.runs import (
@@ -688,8 +688,8 @@ class TestAnalyzeCommand:
                 return _real(graph_input, *args, **kwargs)
 
             monkeypatch.setattr(evaluation, name, counted)
-        analyze_run([base_out / "report.json", cmp_out / "report.json"], corpus["events"],
-                    corpus["sr"], tmp_path / "analysis")
+        analyze_run([base_out / "report.json", cmp_out / "report.json"],
+                    RunSpec(corpus["events"], sr_table_path=corpus["sr"]), tmp_path / "analysis")
         learners = json.loads((base_out / "report.json").read_text())["models"][0]["learners"]
         graph_learners = [events[0].learner_id for events in calls["build_topic_graph"]]
         assert sorted(graph_learners) == sorted(entry["learner_id"] for entry in learners)
@@ -1101,7 +1101,7 @@ class TestRunHelpers:
             select_top_learners(random_sessions(n_learners=3, seed=2), 0)
 
     def test_evaluate_run_report_embeds_manifest_digest(self, corpus, tmp_path):
-        out = evaluate_run(corpus["events"], tmp_path / "api_run", seed=3)
+        out = evaluate_run(RunSpec(corpus["events"], seed=3), tmp_path / "api_run")
         report = out["report_obj"]
         assert report["manifest_digest"]
         assert report["manifest"]["inputs"]["data"]
@@ -1127,9 +1127,9 @@ class TestRunHelpers:
         grid.write_text(json.dumps({"beta": [1.0]}))
         missing = tmp_path / "missing.csv"
         with pytest.raises(ValueError, match=message):
-            evaluate_run(missing, tmp_path / "out", model)
+            evaluate_run(RunSpec(missing), tmp_path / "out", model)
         with pytest.raises(ValueError, match=message):
-            tune_run(missing, grid, tmp_path / "out", model)
+            tune_run(RunSpec(missing), grid, tmp_path / "out", model)
 
 
 def canonical_digest(manifest):
@@ -1228,17 +1228,27 @@ class TestManifests:
             first_line = (tmp_path / "out" / name).read_text().splitlines()[0]
             assert first_line == f"# manifest_digest={canonical_digest(manifest)}"
 
+    def test_analyze_records_top_topics(self, corpus, tmp_path):
+        report = tmp_path / "base" / "report.json"
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", report.parent]) == 0
+        first_lines = set()
+        for name, top_topics in [("all", []), ("top1", ["--top-topics", 1])]:
+            assert run(["analyze", report, "--data", corpus["events"], "--sr-table", corpus["sr"],
+                        *top_topics, "--out-dir", tmp_path / name]) == 0
+            first_lines.add((tmp_path / name / "srocc.csv").read_text().splitlines()[0])
+        assert len(first_lines) == 2
+
     def test_cli_and_evaluate_run_write_the_same_report(self, corpus, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(COMPARE_CONFIG))
         assert run(["evaluate", "--compare", "--data", corpus["events"], "--sr-table", corpus["sr"],
                     "--config", cfg, *COMPARE_OPTIONS, "--out-dir", tmp_path / "cli"]) == 0
-        evaluate_run(
-            corpus["events"], tmp_path / "api", compare=True, sr_table_path=corpus["sr"],
-            sr_metric="w2v", base_cfg=ModelConfig(draw_margin_eps=0.6),
-            prop_cfg=PropagationConfig(omega_size=3, mixing_mode="inverse_standard_error"),
+        spec = RunSpec(
+            corpus["events"], corpus["sr"], ModelConfig(draw_margin_eps=0.6),
+            PropagationConfig(omega_size=3, mixing_mode="inverse_standard_error"),
             seed=7, train_fraction=0.6, top_learners=20,
         )
+        evaluate_run(spec, tmp_path / "api", compare=True)
         assert (tmp_path / "cli" / "report.json").read_bytes() == (
             tmp_path / "api" / "report.json"
         ).read_bytes()
@@ -1258,10 +1268,19 @@ RUN_ARGUMENTS = {
     "out_dir": "where the outputs go",
     "grid_path": "tune's grid, recorded as its input digest",
     "reports": "analyze's reports, recorded as its input digests",
-    "config_path": "feeds base_cfg and prop_cfg",
-    "omega": "feeds prop_cfg",
-    "sr_metric": "overrides prop_cfg's metric in RunSpec.of",
+    "config_path": "feeds model_config and propagation_config",
+    "omega": "feeds propagation_config",
+    "sr_metric": "feeds propagation_config",
 }
+
+
+def two_metric_table(corpus, tmp_path):
+    """One file, two tables: every w2v pair of the corpus, and one mw pair."""
+    table = tmp_path / "two_metrics.csv"
+    lines = corpus["sr"].read_text().splitlines()
+    a, b, _, _ = lines[1].split(",")
+    table.write_text("\n".join([*lines, f"{a},{b},mw,0.5"]) + "\n")
+    return table
 
 
 class TestRunSpec:
@@ -1283,37 +1302,55 @@ class TestRunSpec:
         twin = tmp_path / "events.jsonl"  # the same events in other bytes
         save_events(corpus["dataset"], twin, "jsonl")
         variants = {
-            "data_path": {"data_path": twin},
-            "sr_table_path": {"sr_table_path": corpus["zero_sr"]},
-            "model_config": {"base_cfg": ModelConfig(beta=1.0)},
-            "propagation_config": {"prop_cfg": PropagationConfig(omega_size=3)},
-            "seed": {"seed": 7},
-            "train_fraction": {"train_fraction": 0.5},
-            "top_learners": {"top_learners": 20},
-            "top_topics": {"top_topics": 1},
+            "data_path": twin,
+            "sr_table_path": corpus["zero_sr"],
+            "model_config": ModelConfig(beta=1.0),
+            "propagation_config": PropagationConfig(omega_size=3),
+            "seed": 7,
+            "train_fraction": 0.5,
+            "top_learners": 20,
+            "top_topics": 1,
         }
         assert set(variants) == {f.name for f in fields(RunSpec)}
 
-        def report(name, data_path=corpus["events"], **settings):
-            settings = {"sr_table_path": corpus["sr"], **settings}
-            out = evaluate_run(data_path, tmp_path / name, compare=True, **settings)
-            return out["report_obj"]
+        def manifest_digest(name, spec):
+            out = evaluate_run(spec, tmp_path / name, compare=True)
+            return out["report_obj"]["manifest_digest"]
 
-        base = report("base")
-        for field_name, settings in variants.items():
-            varied = report(field_name, **settings)
-            recorded = varied["manifest_digest"] != base["manifest_digest"]
-            assert recorded == (field_name not in MANIFEST_GAPS), field_name
+        base = RunSpec(corpus["events"], corpus["sr"])
+        base_digest = manifest_digest("base", base)
+        for field_name, value in variants.items():
+            varied = manifest_digest(field_name, replace(base, **{field_name: value}))
+            assert (varied != base_digest) == (field_name not in MANIFEST_GAPS), field_name
+
+    @pytest.mark.parametrize("flags, expected", [
+        ({}, PropagationConfig("mw", 3)),
+        ({"sr_metric": "w2v"}, PropagationConfig("w2v", 3)),
+        ({"omega": "all"}, PropagationConfig("mw", None)),
+        ({"sr_metric": "w2v", "omega": "all"}, PropagationConfig("w2v", None)),
+    ])
+    def test_flags_lay_over_the_config_keys(self, corpus, tmp_path, flags, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sr_metric": "mw", "omega_size": 3}))
+        assert _spec(cfg, data_path=corpus["events"], **flags).propagation_config == expected
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"beta": [0.5]}))
+        args = ["--model", "semantic-truelearn", "--data", corpus["events"], "--config", cfg,
+                "--sr-table", two_metric_table(corpus, tmp_path)]
+        for name, value in flags.items():
+            args += [f"--{name.replace('_', '-')}", value]
+        for command, extra, written in [
+            ("evaluate", [], "report.json"), ("tune", ["--grid", grid], "best_config.json"),
+        ]:
+            assert run([command, *args, *extra, "--out-dir", tmp_path / command]) == 0
+            manifest = json.loads((tmp_path / command / written).read_text())["manifest"]
+            assert manifest["propagation_config"] == asdict(expected)
 
     def test_analyze_sr_metric_is_a_listed_gap(self, corpus, tmp_path):
         assert "analyze sr_metric" in MANIFEST_GAPS
         report = tmp_path / "base" / "report.json"
         assert run(["evaluate", "--data", corpus["events"], "--out-dir", report.parent]) == 0
-        # One file, two tables: every w2v pair, and one mw pair.
-        table = tmp_path / "two_metrics.csv"
-        lines = corpus["sr"].read_text().splitlines()
-        a, b, _, _ = lines[1].split(",")
-        table.write_text("\n".join([*lines, f"{a},{b},mw,0.5"]) + "\n")
+        table = two_metric_table(corpus, tmp_path)
         digests = set()
         for metric in ("w2v", "mw"):
             out = tmp_path / metric

@@ -23,7 +23,7 @@ from semlearn.evaluation import (
 )
 from semlearn.evaluation import _pairwise_sum, _t_two_sided_p
 from semlearn.relatedness import SRTable, zero_table
-from semlearn.runs import analyze_run
+from semlearn.runs import RunSpec, analyze_run
 
 from oracles import (
     paired_t_oracle,
@@ -389,6 +389,7 @@ class TestSessionFeatures:
         sr = tmp_path / "sr.csv"
         sr.write_text("topic_a,topic_b,metric,value\n1,2,w2v,0.5\n")
         digest = hashlib.sha256(events.read_bytes()).hexdigest()
+        spec = RunSpec(events, sr_table_path=sr)
 
         def report_with(learner_id, trace):
             learners = [{"learner_id": lid, "predictions": [p for p, _ in t],
@@ -400,6 +401,6 @@ class TestSessionFeatures:
             return path
 
         with pytest.raises(DataError, match="trace has 9 entries for 10 events"):
-            analyze_run([report_with("a", traces["a"][:-1])], events, sr, tmp_path / "short")
+            analyze_run([report_with("a", traces["a"][:-1])], spec, tmp_path / "short")
         with pytest.raises(DataError, match="not in the data"):
-            analyze_run([report_with("ghost", traces["a"])], events, sr, tmp_path / "ghost")
+            analyze_run([report_with("ghost", traces["a"])], spec, tmp_path / "ghost")

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,9 @@ from semlearn.gaussians import Gaussian1D
 from semlearn.novel import ModelConfig, predict, replay_session, update
 from semlearn.semantic import PropagationConfig, SemanticPropagator
 
-from oracles import normal_interval_mass_quad, single_topic_posterior_grid
+from oracles import (
+    normal_interval_mass_quad, single_topic_posterior_grid, team_posterior_variance_exact,
+)
 from synthetic import random_sessions, random_sr_table
 
 
@@ -328,6 +331,52 @@ class TestStep:
             for ev in events:
                 p_engage, _ = update(model, ev, cfg)
                 assert 0.0 <= p_engage <= 1.0
+            for skill in model.skills.values():
+                assert skill.is_proper and math.isfinite(skill.mean)
+
+
+    def test_cancelling_posterior_variance_matches_exact_arithmetic(self, monkeypatch):
+        # With a prior as wide as 1e22, one topic's d*d*var can hold all of var_d, so
+        # 1 - w*d*d*var/var_d rounds to 0 or below: the step's floored branch.
+        cfg = ModelConfig(beta=1e22)
+        corrections = []
+        for name in ("truncated_moments_within", "truncated_moments_above"):
+
+            def recorded(*args, _real=getattr(semlearn.novel, name)):
+                v, w = _real(*args)
+                corrections.append(w)
+                return v, w
+
+            monkeypatch.setattr(semlearn.novel, name, recorded)
+        dataset = random_sessions(n_learners=300, seed=5, min_events=30, max_events=30)
+        floored = 0
+        for lid in sorted(dataset.learners)[:40]:
+            model = LearnerModel()
+            for ev in dataset.learners[lid]:
+                depths, means, variances = semlearn.novel._read_skills(model, ev, cfg)
+                _, var_d = semlearn.novel._difference_moments(depths, means, variances, cfg)
+                corrections.clear()
+                update(model, ev, cfg)
+                w = corrections[0] if corrections else 1.0  # no call: the saturated margin
+                for i, ((topic, _), d, var) in enumerate(zip(ev.topics, depths, variances)):
+                    if var * (1.0 - w * d * d * var / var_d) > 0.0:
+                        continue
+                    floored += 1
+                    exact = team_posterior_variance_exact(depths, variances, i, w, cfg.beta_perf)
+                    stored = Fraction(model.skills[topic].variance)
+                    assert abs(stored - exact) <= exact * Fraction(1, 10**15), (lid, ev, topic)
+        # 104 along the old step's path, whose floored beliefs steered later events.
+        assert floored == 103
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(beta=1e25), ModelConfig(dynamics_tau=1e12)])
+    def test_a_huge_prior_or_drift_replays_every_session(self, cfg):
+        # Both once floored cancelled variances to 1e-300, and a later mean / variance
+        # overflowed in 126 and 54 of these sessions.
+        dataset = random_sessions(n_learners=300, seed=5, min_events=30, max_events=30)
+        for events in dataset.learners.values():
+            model = LearnerModel()
+            for ev in events:
+                update(model, ev, cfg)
             for skill in model.skills.values():
                 assert skill.is_proper and math.isfinite(skill.mean)
 

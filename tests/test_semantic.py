@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semlearn.semantic
-from semlearn.cli import _build_configs
+from semlearn.cli import _spec
 from semlearn.data import EngagementEvent, LearnerModel
 from semlearn.gaussians import Gaussian1D
 from semlearn.novel import ModelConfig, predict, replay_session, update
@@ -33,7 +33,7 @@ class TestPropagationConfig:
     def test_omega_all_from_dict(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"sr_metric": "mw", "omega_size": "all"}))
-        assert _build_configs(cfg_path, None)["prop_cfg"].omega_size is None
+        assert _spec(cfg_path, data_path="events.csv").propagation_config.omega_size is None
 
     @pytest.mark.parametrize(
         "kwargs",
