@@ -96,10 +96,9 @@ class EngagementEvent:
 
 @dataclass
 class LearnerModel:
-    """Per-learner skill state: sparse topic -> Gaussian belief map and the topics seen."""
+    """Per-learner skill state: sparse topic -> Gaussian belief map; a topic with a belief is seen."""
 
     skills: dict[int, Gaussian1D] = field(default_factory=dict)
-    topics_seen: set[int] = field(default_factory=set)
 
 
 @dataclass

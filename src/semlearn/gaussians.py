@@ -75,7 +75,10 @@ class Gaussian1D:
         precision_mean = mean / variance  # overflows for a large mean at a tiny variance
         if not math.isfinite(precision_mean):
             raise ValueError(f"mean / variance must be finite, got {mean} / {variance}")
-        object.__setattr__(self, "precision", 1.0 / variance)
+        precision = 1.0 / variance  # overflows below about 5.6e-309
+        if precision == math.inf:
+            raise ValueError(f"1 / variance must be finite, got 1 / {variance}")
+        object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "precision_mean", precision_mean)
 
     @classmethod

@@ -36,6 +36,18 @@ _OUTCOMES = {(p, l): (p, l) for p in (ENGAGED, NOT_ENGAGED) for l in (ENGAGED, N
 # very wide prior) is stored as this tiny positive variance instead.
 _VARIANCE_FLOOR = 1e-300
 
+# Bounds that keep the arithmetic of the worst event the schema allows, 10
+# topics at depth 1, finite. Skill means stay within _MEAN_BOUND (update
+# changes no belief on an event whose posterior would leave it) and the level
+# within MAX_DEPTH_SKILL_LEVEL, so D's mean sum_k d_k * (m_k - level) stays
+# within 30/32 of the float maximum, and eps -+ that mean within 31/32.
+# tau^2 at most 2^968, a quarter of the float spacing at the maximum,
+# inflates any finite variance to a finite one.
+_MEAN_BOUND = sys.float_info.max / 32
+MAX_DEPTH_SKILL_LEVEL = sys.float_info.max / 16
+MAX_DRAW_MARGIN_EPS = sys.float_info.max / 32
+MAX_DYNAMICS_TAU = 2.0**484
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -70,12 +82,25 @@ class ModelConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.beta <= 0.0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
+        # The N(0, beta) prior is stored as its precision 1 / beta and read back as
+        # 1 / precision: both must be finite.
+        if math.isinf(1.0 / self.beta) or math.isinf(1.0 / (1.0 / self.beta)):
+            raise ValueError(f"beta must have 1 / beta and 1 / (1 / beta) finite, got {self.beta}")
         if self.beta_perf <= 0.0:
             raise ValueError(f"beta_perf must be > 0, got {self.beta_perf}")
-        if self.draw_margin_eps <= 0.0:
-            raise ValueError(f"draw_margin_eps must be > 0, got {self.draw_margin_eps}")
-        if self.dynamics_tau < 0.0:
-            raise ValueError(f"dynamics_tau must be >= 0, got {self.dynamics_tau}")
+        if not 0.0 < self.draw_margin_eps <= MAX_DRAW_MARGIN_EPS:
+            raise ValueError(
+                f"draw_margin_eps must be in (0, {MAX_DRAW_MARGIN_EPS!r}], got {self.draw_margin_eps}"
+            )
+        if not 0.0 <= self.dynamics_tau <= MAX_DYNAMICS_TAU:
+            raise ValueError(
+                f"dynamics_tau must be in [0, {MAX_DYNAMICS_TAU!r}], got {self.dynamics_tau}"
+            )
+        if not abs(self.depth_skill_level) <= MAX_DEPTH_SKILL_LEVEL:
+            raise ValueError(
+                f"depth_skill_level must be within +-{MAX_DEPTH_SKILL_LEVEL!r}, "
+                f"got {self.depth_skill_level}"
+            )
         if not 0.0 < self.decision_threshold < 1.0:
             raise ValueError(
                 f"decision_threshold must be in (0, 1), got {self.decision_threshold}"
@@ -106,13 +131,17 @@ def _read_skills(
 def _difference_moments(
     depths: list[float], means: list[float], variances: list[float], cfg: ModelConfig
 ) -> tuple[float, float]:
-    """Mean and variance of D, summed in a loop: sum() rounds differently since Python 3.12."""
+    """Mean and variance of D, summed in a loop: sum() rounds differently since Python 3.12.
+
+    The noise term doubles beta_perf * sum d^2, not 2 * beta_perf: that overflows
+    for beta_perf past half the float maximum, and inf * 0 is nan.
+    """
     sum_d_sq = mean_d = var_skills = 0.0
     for d, m, v in zip(depths, means, variances):
         sum_d_sq += d * d
         mean_d += d * (m - cfg.depth_skill_level)
         var_skills += d * d * v
-    return mean_d, var_skills + 2.0 * cfg.beta_perf * sum_d_sq
+    return mean_d, var_skills + 2.0 * (cfg.beta_perf * sum_d_sq)
 
 
 def _engagement(mean_d: float, var_d: float, cfg: ModelConfig) -> tuple[float, int]:
@@ -153,7 +182,8 @@ def update(
     one-sided region beyond the margin, on the side the current mean of D
     points to. Each skill receives the share of the team correction exact
     for jointly Gaussian teams. Skills of topics absent from the event are
-    untouched.
+    untouched. An event whose posterior the floats cannot hold changes no
+    belief, like one whose depths are all zero.
     """
     depths, means, variances = _read_skills(model, event, cfg)
     mean_d, var_d = _difference_moments(depths, means, variances, cfg)
@@ -162,35 +192,51 @@ def update(
         tau_sq = cfg.dynamics_tau * cfg.dynamics_tau
         variances = [v + tau_sq for v in variances]
         mean_d, var_d = _difference_moments(depths, means, variances, cfg)
-    if var_d == 0.0:
-        # All depths zero: the outcome carries no information about skills.
+    posteriors = None
+    if var_d > 0.0:  # else all depths are zero: the outcome carries no information
+        try:
+            posteriors = _posteriors(event, depths, means, variances, mean_d, var_d, cfg)
+        except ValueError:
+            # t, a posterior mean, mean / variance or 1 / variance overflowed.
+            pass
+    if posteriors is None:
         prior = Gaussian1D(0.0, cfg.beta)
         for topic_id, _ in event.topics:
             model.skills.setdefault(topic_id, prior)
     else:
-        scale = math.sqrt(var_d)
-        t = mean_d / scale
-        margin = cfg.draw_margin_eps / scale
-        if event.label == ENGAGED:
-            # A margin that underflows to 0 holds no mass: the saturated corrections.
-            v, w = truncated_moments_within(t, margin) if margin > 0.0 else (-t, 1.0)
-        else:
-            side = 1.0 if t >= 0.0 else -1.0
-            v, w = truncated_moments_above(side * t, margin)
-            v *= side
-        for i, ((topic, _), d, mu, var) in enumerate(zip(event.topics, depths, means, variances)):
-            new_mean = mu + d * var * v / scale
-            new_var = var * (1.0 - w * d * d * var / var_d)
-            if new_var <= 0.0:
-                # 1 - w*d*d*var/var_d cancels where d*d*var dominates var_d. Its equal
-                # (1 - w) + w*rest/var_d sums rest = var_d - d*d*var with topic i left out.
-                others = [*variances[:i], 0.0, *variances[i + 1 :]]
-                rest = _difference_moments(depths, means, others, cfg)[1]
-                new_var = max(var * ((1.0 - w) + w * rest / var_d), _VARIANCE_FLOOR)
-            model.skills[topic] = Gaussian1D(new_mean, new_var)
-    for topic_id, _ in event.topics:
-        model.topics_seen.add(topic_id)
+        model.skills.update(posteriors)
     return outputs
+
+
+def _posteriors(
+    event: EngagementEvent, depths: list[float], means: list[float], variances: list[float],
+    mean_d: float, var_d: float, cfg: ModelConfig,
+) -> list[tuple[int, Gaussian1D]]:
+    """Each event topic's posterior skill; ValueError where the floats cannot hold one."""
+    scale = math.sqrt(var_d)
+    t = mean_d / scale
+    margin = cfg.draw_margin_eps / scale
+    if event.label == ENGAGED:
+        # A margin that underflows to 0 holds no mass: the saturated corrections.
+        v, w = truncated_moments_within(t, margin) if margin > 0.0 else (-t, 1.0)
+    else:
+        side = 1.0 if t >= 0.0 else -1.0
+        v, w = truncated_moments_above(side * t, margin)
+        v *= side
+    posteriors = []
+    for i, ((topic, _), d, mu, var) in enumerate(zip(event.topics, depths, means, variances)):
+        new_mean = mu + d * var * v / scale
+        new_var = var * (1.0 - w * d * d * var / var_d)
+        if new_var <= 0.0:
+            # 1 - w*d*d*var/var_d cancels where d*d*var dominates var_d. Its equal
+            # (1 - w) + w*rest/var_d sums rest = var_d - d*d*var with topic i left out.
+            others = [*variances[:i], 0.0, *variances[i + 1 :]]
+            rest = _difference_moments(depths, means, others, cfg)[1]
+            new_var = max(var * ((1.0 - w) + w * rest / var_d), _VARIANCE_FLOOR)
+        if not abs(new_mean) <= _MEAN_BOUND:
+            raise ValueError(f"posterior mean {new_mean} exceeds {_MEAN_BOUND!r}")
+        posteriors.append((topic, Gaussian1D(new_mean, new_var)))
+    return posteriors
 
 
 def replay_session(

@@ -14,10 +14,10 @@ uses each source topic's own variance (the exact variance of the linear
 combination under independence); a config switch substitutes the fixed
 initial prior variance instead, for sensitivity analysis.
 
-Propagation happens once, at a topic's first encounter; after a topic has
-been directly updated its belief is never overwritten. Correlations among
-the seen topics themselves are deliberately not modeled, so overlapping
-neighbors propagate overlapping information.
+Propagation happens once, at a topic's first encounter; a topic with a
+belief, updated or placed before the replay, is never overwritten.
+Correlations among the seen topics themselves are deliberately not modeled,
+so overlapping neighbors propagate overlapping information.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def propagate_prior(
     With no related seen topics this falls back to the default
     N(0, default_variance) prior.
     """
-    neighbors = related_seen_topics(table, target, model.topics_seen, cfg.omega_size)
+    neighbors = related_seen_topics(table, target, model.skills.keys(), cfg.omega_size)
     if not neighbors:
         return Gaussian1D(0.0, default_variance)
     skills = model.skills
@@ -100,11 +100,13 @@ def propagate_prior(
         source = skills[topic]
         mean += coeff * (source.precision_mean / source.precision)
         variance += coeff * coeff * (1.0 / source.precision if from_source else default_variance)
-    if variance == 0.0:
-        # Relatedness so small the combination underflowed; nothing usable
+    try:
+        return Gaussian1D(mean, variance)
+    except ValueError:
+        # Relatedness so small the variance underflowed to 0, or so far that
+        # 1 / variance or mean / variance overflows: nothing usable
         # propagates, keep the default prior.
         return Gaussian1D(0.0, default_variance)
-    return Gaussian1D(mean, variance)
 
 
 class SemanticPropagator:
@@ -120,10 +122,12 @@ class SemanticPropagator:
         self.base_cfg = base_cfg
 
     def __call__(self, model: LearnerModel, event: EngagementEvent) -> None:
-        for topic_id, _ in event.topics:
-            if topic_id in model.topics_seen:
-                continue
-            model.skills[topic_id] = propagate_prior(
-                model, topic_id, self.table, self.prop_cfg, self.base_cfg.beta
-            )
+        # Every prior is computed before any is installed, so each draws only
+        # on topics seen before this event.
+        priors = {
+            topic_id: propagate_prior(model, topic_id, self.table, self.prop_cfg, self.base_cfg.beta)
+            for topic_id, _ in event.topics
+            if topic_id not in model.skills
+        }
+        model.skills.update(priors)
 

@@ -38,6 +38,20 @@ def random_sessions(
     return Dataset(learners=learners)
 
 
+def full_depth_sessions(n_learners: int = 200, seed: int = 0, n_events: int = 30) -> Dataset:
+    """Sessions whose every event holds the schema's maximum of 10 topics, all at depth 1."""
+    rng = random.Random(seed)
+    learners = {}
+    for li in range(n_learners):
+        lid = f"u{li:04d}"
+        learners[lid] = [
+            EngagementEvent(lid, order, tuple((t, 1.0) for t in rng.sample(range(40), 10)),
+                            1 if rng.random() < 0.5 else -1)
+            for order in range(n_events)
+        ]
+    return Dataset(learners=learners)
+
+
 def random_sr_table(seed: int = 0, topic_pool: int = 40, n_pairs: int = 120, metric: str = "w2v") -> SRTable:
     rng = random.Random(seed)
     table = SRTable(metric=metric)

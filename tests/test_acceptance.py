@@ -95,7 +95,6 @@ def test_criterion_2_propagation_matches_monte_carlo():
         for i, (mu, var, rho) in enumerate(neighbors, start=1):
             table.set(10_000, i, rho)
             model.skills[i] = Gaussian1D(mu, var)
-            model.topics_seen.add(i)
         prior = propagate_prior(model, 10_000, table, ALL_RELATED, default_variance=0.5)
         mc_mean, mc_var = propagation_mc(neighbors, n_samples=10**6, seed=9000 + case)
         assert abs(prior.mean - mc_mean) <= 1e-2

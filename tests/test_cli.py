@@ -4,6 +4,7 @@ import csv
 import hashlib
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,13 +19,25 @@ import semlearn
 from semlearn import evaluation, runs
 from semlearn.cli import _parser, _spec, main
 from semlearn.data import LearnerModel, save_events, split_learners
-from semlearn.novel import ModelConfig, update
+from semlearn.novel import (
+    MAX_DEPTH_SKILL_LEVEL, MAX_DRAW_MARGIN_EPS, MAX_DYNAMICS_TAU, ModelConfig, update,
+)
 from semlearn.runs import (
     RunSpec, analyze_run, evaluate_run, load_grid, select_top_learners, tune_run,
 )
 from semlearn.semantic import PropagationConfig
 
 from synthetic import clustered_corpus, random_sessions, write_sr_csv
+
+# The next float past each ModelConfig bound.
+PAST_THE_BOUNDS = [
+    {"beta": math.nextafter(5.56268464626801e-309, 0.0)},
+    {"beta": math.nextafter(1.7976931348623151e308, math.inf)},
+    {"draw_margin_eps": math.nextafter(MAX_DRAW_MARGIN_EPS, math.inf)},
+    {"dynamics_tau": math.nextafter(MAX_DYNAMICS_TAU, math.inf)},
+    {"depth_skill_level": math.nextafter(MAX_DEPTH_SKILL_LEVEL, math.inf)},
+    {"depth_skill_level": math.nextafter(-MAX_DEPTH_SKILL_LEVEL, -math.inf)},
+]
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +253,14 @@ class TestEvaluateCommand:
         assert run(["evaluate", "--data", tmp_path / "missing.csv",
                     "--config", cfg_path]) == 1
 
+    @pytest.mark.parametrize("values", PAST_THE_BOUNDS)
+    def test_config_past_a_bound_is_usage_error_before_loading(self, tmp_path, capsys, values):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        assert run(["evaluate", "--data", tmp_path / "missing.csv",
+                    "--config", cfg_path]) == 1
+        assert f"{next(iter(values))} must" in capsys.readouterr().err
+
     def test_integer_too_large_for_a_float_is_usage_error_before_loading(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"beta": 1' + "0" * 400 + "}")
@@ -388,6 +409,15 @@ class TestTuneCommand:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"beta": values}))
         assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid]) == 1
+
+    @pytest.mark.parametrize("values", PAST_THE_BOUNDS)
+    def test_grid_point_past_a_bound_is_usage_error_before_loading(self, tmp_path, capsys, values):
+        grid = tmp_path / "grid.json"
+        # The first point, the default, is valid: the one past the bound is refused.
+        grid.write_text(json.dumps({name: [getattr(ModelConfig(), name), value]
+                                    for name, value in values.items()}))
+        assert run(["tune", "--data", tmp_path / "missing.csv", "--grid", grid]) == 1
+        assert f"{next(iter(values))} must" in capsys.readouterr().err
 
     def test_integer_too_large_for_a_float_is_usage_error_before_loading(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

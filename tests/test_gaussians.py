@@ -47,6 +47,11 @@ class TestGaussian1D:
         with pytest.raises(ValueError, match="mean / variance must be finite"):
             Gaussian1D(mean, variance)
 
+    # Stored, 1 / 1e-310 would be inf: the belief would read mean 0 and variance 0.
+    def test_rejects_variance_whose_precision_overflows(self):
+        with pytest.raises(ValueError, match="1 / variance must be finite"):
+            Gaussian1D(0.01, 1e-310)
+
     @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan])
     def test_rejects_bad_variance(self, variance):
         with pytest.raises(ValueError):

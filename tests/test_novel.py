@@ -1,7 +1,9 @@
 import copy
 import hashlib
 import math
+import operator
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,15 +12,36 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semlearn.novel
-from semlearn.data import EngagementEvent, LearnerModel
+from semlearn.data import Dataset, EngagementEvent, LearnerModel
 from semlearn.gaussians import Gaussian1D
-from semlearn.novel import ModelConfig, predict, replay_session, update
-from semlearn.semantic import PropagationConfig, SemanticPropagator
+from semlearn.novel import (
+    MAX_DEPTH_SKILL_LEVEL, MAX_DRAW_MARGIN_EPS, MAX_DYNAMICS_TAU, ModelConfig, predict,
+    replay_session, update,
+)
+from semlearn.relatedness import SRTable
+from semlearn.runs import replay_cohort
+from semlearn.semantic import OMEGA_SIZES, PropagationConfig, SemanticPropagator
 
 from oracles import (
     normal_interval_mass_quad, single_topic_posterior_grid, team_posterior_variance_exact,
 )
-from synthetic import random_sessions, random_sr_table
+from synthetic import full_depth_sessions, random_sessions, random_sr_table
+
+TINY = 5e-324  # the least positive float
+# The least and the greatest beta whose precision 1 / beta and its read-back
+# 1 / (1 / beta) are both finite.
+LEAST_BETA = 5.56268464626801e-309
+GREATEST_BETA = 1.7976931348623151e308
+
+# (field, the bound's edge, the next float past it)
+BOUND_EDGES = [
+    ("beta", LEAST_BETA, math.nextafter(LEAST_BETA, 0.0)),
+    ("beta", GREATEST_BETA, math.nextafter(GREATEST_BETA, math.inf)),
+    ("draw_margin_eps", MAX_DRAW_MARGIN_EPS, math.nextafter(MAX_DRAW_MARGIN_EPS, math.inf)),
+    ("dynamics_tau", MAX_DYNAMICS_TAU, math.nextafter(MAX_DYNAMICS_TAU, math.inf)),
+    ("depth_skill_level", MAX_DEPTH_SKILL_LEVEL, math.nextafter(MAX_DEPTH_SKILL_LEVEL, math.inf)),
+    ("depth_skill_level", -MAX_DEPTH_SKILL_LEVEL, math.nextafter(-MAX_DEPTH_SKILL_LEVEL, -math.inf)),
+]
 
 
 def event(topics, label=1, learner="x", order=0):
@@ -27,6 +50,74 @@ def event(topics, label=1, learner="x", order=0):
 
 def log_uniform(lo_exp, hi_exp):
     return st.floats(float(lo_exp), float(hi_exp)).map(lambda e: 10.0**e)
+
+
+def whole_range(lo, hi):
+    """Floats from lo to hi, both included, log-uniform: a uniform binary exponent and mantissa."""
+    exponents = st.integers(math.frexp(lo)[1], math.frexp(hi)[1])
+    drawn = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), exponents)
+    return st.sampled_from([lo, hi]) | drawn.map(lambda x: min(max(x, lo), hi))
+
+
+# Every field over its whole allowed range.
+whole_range_configs = st.builds(
+    ModelConfig,
+    beta=whole_range(LEAST_BETA, GREATEST_BETA),
+    beta_perf=whole_range(TINY, sys.float_info.max),
+    draw_margin_eps=whole_range(TINY, MAX_DRAW_MARGIN_EPS),
+    dynamics_tau=st.just(0.0) | whole_range(TINY, MAX_DYNAMICS_TAU),
+    depth_skill_level=st.just(0.0) | st.builds(
+        operator.mul, st.sampled_from([1.0, -1.0]), whole_range(TINY, MAX_DEPTH_SKILL_LEVEL)
+    ),
+    decision_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+# A session over 12 topics, of events of up to 10 topics at depths down to subnormals.
+whole_range_session = st.lists(
+    st.builds(
+        lambda topics, label: EngagementEvent("x", 0, tuple(topics), label),
+        st.lists(
+            st.tuples(st.integers(0, 11), st.sampled_from([0.0, 1.0]) | whole_range(TINY, 1.0)),
+            min_size=1,
+            max_size=10,
+            unique_by=lambda topic: topic[0],
+        ),
+        st.sampled_from([1, -1]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def table_of(pairs):
+    table = SRTable(metric="w2v")
+    for (a, b), rho in pairs.items():
+        table.set(a, b, rho)
+    return table
+
+
+whole_range_tables = st.dictionaries(
+    st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda ab: ab[0] != ab[1]),
+    whole_range(TINY, 1.0),
+    max_size=30,
+).map(table_of)
+propagation_configs = st.builds(
+    PropagationConfig,
+    omega_size=st.sampled_from(OMEGA_SIZES),
+    mixing_mode=st.sampled_from(["semantic_relatedness", "inverse_standard_error"]),
+    variance_source=st.sampled_from(["source_skill", "initial_prior"]),
+)
+
+
+def assert_replays(events, cfg, propagator=None):
+    """Each step's p_engage in [0, 1], and every belief after it proper with a finite mean."""
+    model = LearnerModel()
+    for ev in events:
+        if propagator is not None:
+            propagator(model, ev)
+        p_engage, _ = update(model, ev, cfg)
+        assert 0.0 <= p_engage <= 1.0
+    for skill in model.skills.values():
+        assert math.isfinite(skill.mean) and 0.0 < skill.variance < math.inf
 
 
 class TestModelConfig:
@@ -64,6 +155,23 @@ class TestModelConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             ModelConfig.from_dict({"betta": 1.0})
+
+    @pytest.mark.parametrize("field,edge,past", BOUND_EDGES)
+    def test_bound_edge_accepted_and_the_next_float_refused(self, field, edge, past):
+        assert getattr(ModelConfig(**{field: edge}), field) == edge
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: past})
+
+    @pytest.mark.parametrize("field,edge", [(field, edge) for field, edge, _ in BOUND_EDGES])
+    def test_both_probes_replay_at_the_bound(self, field, edge):
+        # Probe A: up to 3 topics at depths from 0.05; probe B: the schema's worst
+        # event, 10 topics at depth 1, in every event.
+        cfg = ModelConfig(**{field: edge})
+        probe_a = random_sessions(n_learners=300, seed=5, min_events=30, max_events=30)
+        probe_b = full_depth_sessions(n_learners=200, seed=5, n_events=30)
+        for dataset in (probe_a, probe_b):
+            for events in dataset.learners.values():
+                assert_replays(events, cfg)
 
 
 class TestPredict:
@@ -136,7 +244,6 @@ class TestUpdate:
         model = LearnerModel()
         frozen = Gaussian1D(0.7, 0.2)
         model.skills[42] = frozen
-        model.topics_seen.add(42)
         update(model, event([(1, 0.5)]), cfg)
         assert model.skills[42] is frozen
 
@@ -170,19 +277,17 @@ class TestUpdate:
         cfg = ModelConfig()
         model = LearnerModel()
         update(model, event([(1, 0.5), (2, 0.5)]), cfg)
-        assert model.topics_seen == {1, 2}
-        assert set(model.skills) == {1, 2}
+        assert model.skills.keys() == {1, 2}
 
     def test_all_zero_depths_update_carries_no_information(self):
         cfg = ModelConfig()
         model = LearnerModel()
         before = Gaussian1D(0.4, 0.2)
         model.skills[1] = before
-        model.topics_seen.add(1)
         update(model, event([(1, 0.0), (2, 0.0)], label=-1), cfg)
         assert model.skills[1] is before
         assert model.skills[2].variance == cfg.beta
-        assert model.topics_seen == {1, 2}
+        assert model.skills.keys() == {1, 2}
 
     @pytest.mark.parametrize("label", [1, -1])
     def test_single_topic_posterior_matches_grid_oracle(self, label):
@@ -251,9 +356,8 @@ class TestStep:
         model = LearnerModel()
         for topic, (mean, var) in enumerate(skills):
             model.skills[topic] = Gaussian1D(mean, var)
-            model.topics_seen.add(topic)
         ev = event(topics, label=label)
-        before = replace(model, skills=dict(model.skills), topics_seen=set(model.topics_seen))
+        before = replace(model, skills=dict(model.skills))
         p_expected, pred_expected = predict(before, ev, cfg)
         p_engage, prediction = update(model, ev, cfg)
         assert (p_engage.hex(), prediction) == (p_expected.hex(), pred_expected)
@@ -367,6 +471,40 @@ class TestStep:
                     assert abs(stored - exact) <= exact * Fraction(1, 10**15), (lid, ev, topic)
         # 104 along the old step's path, whose floored beliefs steered later events.
         assert floored == 103
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        whole_range_configs, st.lists(whole_range_session, min_size=1, max_size=3),
+        whole_range_tables, propagation_configs,
+    )
+    def test_every_config_inside_the_bounds_replays(self, cfg, sessions, table, prop_cfg):
+        semantic = SemanticPropagator(table, prop_cfg, cfg)
+        for events in sessions:
+            assert_replays(events, cfg)
+            assert_replays(events, cfg, semantic)
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        whole_range_configs, st.lists(whole_range_session, min_size=2, max_size=3),
+        whole_range_tables, propagation_configs,
+    )
+    def test_every_config_inside_the_bounds_replays_alike_at_two_workers(
+        self, cfg, sessions, table, prop_cfg
+    ):
+        dataset = Dataset(learners={f"u{i}": events for i, events in enumerate(sessions)})
+        variants = [(cfg, None), (cfg, SemanticPropagator(table, prop_cfg, cfg))]
+        serial = replay_cohort(dataset, list(dataset.learners), variants, workers=1)
+        assert replay_cohort(dataset, list(dataset.learners), variants, workers=2) == serial
+
+    def test_an_event_whose_posterior_the_floats_cannot_hold_changes_no_belief(self):
+        # Near-noiseless, a not-engaged outcome at depth 1e-150 puts the skill
+        # beyond eps / depth, about 1e149, with a variance near 1e-299: mean /
+        # variance overflows, so the event carries no information.
+        cfg = ModelConfig(beta_perf=1e-300)
+        model = LearnerModel()
+        seen = model.skills[2] = Gaussian1D(0.4, 0.2)
+        update(model, event([(1, 1e-150), (2, 0.0)], label=-1), cfg)
+        assert model.skills == {1: Gaussian1D(0.0, cfg.beta), 2: seen}
 
     @pytest.mark.parametrize("cfg", [ModelConfig(beta=1e25), ModelConfig(dynamics_tau=1e12)])
     def test_a_huge_prior_or_drift_replays_every_session(self, cfg):

@@ -25,7 +25,6 @@ def model_with(skills: dict[int, tuple[float, float]]) -> LearnerModel:
     model = LearnerModel()
     for topic, (mean, var) in skills.items():
         model.skills[topic] = Gaussian1D(mean, var)
-        model.topics_seen.add(topic)
     return model
 
 
@@ -88,7 +87,6 @@ class TestPropagatePrior:
         for i, (mu, var, rho) in enumerate(neighbors, start=1):
             table.set(100, i, rho)
             model.skills[i] = Gaussian1D(mu, var)
-            model.topics_seen.add(i)
         prior = propagate_prior(model, 100, table, ALL, default_variance=0.5)
         assert prior.mean == pytest.approx(mc_mean, abs=1e-2)
         assert prior.variance == pytest.approx(mc_var, abs=1e-2)
@@ -146,7 +144,6 @@ class TestPropagatePrior:
             for i, (mu, var, rho) in enumerate(neighbors, start=1):
                 table.set(999, i, rho)
                 model.skills[i] = Gaussian1D(mu, var)
-                model.topics_seen.add(i)
             prior = propagate_prior(model, 999, table, ALL, default_variance=0.5)
             assert prior.mean == pytest.approx(mc_mean, abs=1e-2)
             assert prior.variance == pytest.approx(mc_var, abs=1e-2)
@@ -167,9 +164,16 @@ class TestPropagatePrior:
         for i, (mu, var, rho) in enumerate(neighbors, start=1):
             table.set(999, i, rho)
             model.skills[i] = Gaussian1D(mu, var)
-            model.topics_seen.add(i)
         prior = propagate_prior(model, 999, table, ALL, default_variance=0.5)
         assert prior.variance <= max(var for _, var, _ in neighbors) + 1e-12
+
+    def test_a_combination_too_certain_to_store_falls_back_to_default(self):
+        # 1e-20 * 1e-300 underflows to a variance whose 1 / variance overflows.
+        table = SRTable(metric="w2v")
+        table.set(100, 1, 1e-10)
+        model = model_with({1: (1.0, 1e-300)})
+        prior = propagate_prior(model, 100, table, ALL, default_variance=0.7)
+        assert (prior.mean, prior.variance) == (0.0, 0.7)
 
     def test_monotone_influence_of_a_single_rho(self):
         model = model_with({1: (2.0, 0.4), 2: (-1.0, 0.4)})
@@ -244,7 +248,38 @@ class TestSemanticStep:
         ev = EngagementEvent("x", 0, ((7, 0.5), (8, 0.5)), -1)
         SemanticPropagator(table, ALL, ModelConfig())(model, ev)
         update(model, ev, ModelConfig())
-        assert model.topics_seen == {7, 8}
+        assert model.skills.keys() == {7, 8}
+
+    def test_priors_within_one_event_come_from_seen_topics_only(self):
+        # 100 and 101 are related to each other and to the seen topic 1: each
+        # takes its prior from topic 1 alone, not from the other's new prior.
+        table = SRTable(metric="w2v")
+        table.set(100, 101, 0.9)
+        table.set(100, 1, 0.5)
+        table.set(101, 1, 0.7)
+        cfg = ModelConfig()
+        model = model_with({1: (2.0, 0.1)})
+        ev = EngagementEvent("x", 0, ((100, 0.6), (101, 0.4)), 1)
+        SemanticPropagator(table, ALL, cfg)(model, ev)
+        for topic, rho in ((100, 0.5), (101, 0.7)):
+            alone = propagate_prior(model_with({1: (2.0, 0.1)}), topic, table, ALL, cfg.beta)
+            assert model.skills[topic] == alone
+            assert model.skills[topic].mean == pytest.approx(rho * 2.0)
+            assert model.skills[topic].variance == pytest.approx(rho * rho * 0.1)
+
+    def test_a_belief_placed_before_the_replay_is_seen(self):
+        # A topic with a belief is seen: it lends that belief to its neighbours,
+        # and its own first encounter keeps it.
+        table = SRTable(metric="w2v")
+        table.set(100, 1, 0.9)
+        cfg = ModelConfig()
+        placed = Gaussian1D(2.0, 0.1)
+        model = LearnerModel(skills={1: placed})
+        ev = EngagementEvent("x", 0, ((1, 0.6), (100, 0.5)), 1)
+        SemanticPropagator(table, ALL, cfg)(model, ev)
+        assert model.skills[1] is placed
+        assert model.skills[100].mean == pytest.approx(0.9 * 2.0)
+        assert model.skills[100].variance == pytest.approx(0.81 * 0.1)
 
     def test_first_encounter_only(self):
         table = SRTable(metric="w2v")
@@ -288,7 +323,7 @@ class TestDegeneracy:
                 propagator(sem_model, ev)
                 update(sem_model, ev, cfg)
             assert base_model.skills == sem_model.skills
-            assert base_model.topics_seen == sem_model.topics_seen
+            assert base_model.skills.keys() == sem_model.skills.keys()
 
 
 class TestClusteredCohort:
