@@ -66,29 +66,13 @@ class Gaussian1D:
     precision_mean: float
 
     def __init__(self, mean: float = 0.0, variance: float = math.inf):
-        if math.isnan(variance) or variance <= 0.0:
+        if not variance > 0.0:
             raise ValueError(f"variance must be positive or +inf, got {variance}")
-        if math.isinf(variance):
-            object.__setattr__(self, "precision", 0.0)
-            object.__setattr__(self, "precision_mean", 0.0)
-            return
-        precision_mean = mean / variance  # overflows for a large mean at a tiny variance
-        if not math.isfinite(precision_mean):
-            raise ValueError(f"mean / variance must be finite, got {mean} / {variance}")
-        precision = 1.0 / variance  # overflows below about 5.6e-309
-        if precision == math.inf:
-            raise ValueError(f"1 / variance must be finite, got 1 / {variance}")
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "precision_mean", precision_mean)
+        _store(self, 1.0 / variance, mean / variance)
 
     @classmethod
     def from_natural(cls, precision: float, precision_mean: float) -> "Gaussian1D":
-        if math.isnan(precision) or precision < 0.0:
-            raise ValueError(f"precision must be >= 0, got {precision}")
-        g = cls.__new__(cls)
-        object.__setattr__(g, "precision", precision)
-        object.__setattr__(g, "precision_mean", precision_mean if precision > 0.0 else 0.0)
-        return g
+        return _store(cls.__new__(cls), precision, precision_mean)
 
     def __reduce__(self):
         # Rebuild from the natural parameters, not through the frozen __setattr__.
@@ -112,6 +96,27 @@ class Gaussian1D:
         return f"Gaussian1D(mean={self.mean!r}, variance={self.variance!r})"
 
 
+def _store(g: Gaussian1D, precision: float, precision_mean: float) -> Gaussian1D:
+    """Set g's natural parameters: the one rule for what a belief may hold.
+
+    A precision of 0 is the uninformative message, whose precision_mean is
+    zeroed. Any other precision must be finite and positive, with a variance
+    1 / precision and a mean precision_mean / precision that read back finite.
+    """
+    if precision == 0.0:
+        precision_mean = 0.0
+    elif not 0.0 < precision < math.inf:
+        raise ValueError(f"precision must be 0 or finite and positive, got {precision}")
+    elif not (math.isfinite(1.0 / precision) and math.isfinite(precision_mean / precision)):
+        raise ValueError(
+            "1 / precision and precision_mean / precision must be finite, "
+            f"got precision {precision}, precision_mean {precision_mean}"
+        )
+    object.__setattr__(g, "precision", precision)
+    object.__setattr__(g, "precision_mean", precision_mean)
+    return g
+
+
 UNINFORMATIVE = Gaussian1D()
 
 
@@ -125,16 +130,12 @@ def multiply(a: Gaussian1D, b: Gaussian1D) -> Gaussian1D:
 def divide(a: Gaussian1D, b: Gaussian1D) -> Gaussian1D:
     """Factor quotient (message cavity): natural parameters subtract.
 
-    Raises ValueError if the result would have negative precision, which
-    signals corrupted message state.
+    Raises ValueError, as from_natural does, where the quotient is no storable
+    belief; a negative precision signals corrupted message state.
     """
-    precision = a.precision - b.precision
-    if precision < 0.0:
-        raise ValueError(
-            f"divide would produce negative precision ({precision}); "
-            "numerator must be at least as precise as denominator"
-        )
-    return Gaussian1D.from_natural(precision, a.precision_mean - b.precision_mean)
+    return Gaussian1D.from_natural(
+        a.precision - b.precision, a.precision_mean - b.precision_mean
+    )
 
 
 def truncated_moments_within(t: float, eps: float) -> tuple[float, float]:

@@ -53,7 +53,7 @@ MAX_DYNAMICS_TAU = 2.0**484
 class ModelConfig:
     """Hyperparameters of the engagement classifier.
 
-    beta: initial (prior) skill variance for never-seen topics.
+    beta: skill variance of `prior`, the N(0, beta) belief of never-seen topics.
     beta_perf: per-side performance-noise variance scale.
     draw_margin_eps: half-width of the performance-difference interval read
         as "engaged".
@@ -80,12 +80,12 @@ class ModelConfig:
             # Also catches an int too large for a float, where isfinite would overflow.
             if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        # The N(0, beta) prior is stored as its precision 1 / beta and read back as
-        # 1 / precision: both must be finite.
-        if math.isinf(1.0 / self.beta) or math.isinf(1.0 / (1.0 / self.beta)):
-            raise ValueError(f"beta must have 1 / beta and 1 / (1 / beta) finite, got {self.beta}")
+        try:
+            prior = Gaussian1D(0.0, self.beta)
+        except ValueError as err:
+            raise ValueError(f"beta must give a storable N(0, beta) prior: {err}") from None
+        # Not a field, so asdict, equality and hashing see only the six numbers.
+        object.__setattr__(self, "prior", prior)
         if self.beta_perf <= 0.0:
             raise ValueError(f"beta_perf must be > 0, got {self.beta_perf}")
         if not 0.0 < self.draw_margin_eps <= MAX_DRAW_MARGIN_EPS:
@@ -120,10 +120,9 @@ def _read_skills(
 ) -> tuple[list[float], list[float], list[float]]:
     """Depths and the current skill means and variances of the event's topics.
 
-    Unseen topics read the N(0, beta) prior, with its variance round-tripped
-    through the precision exactly as a stored Gaussian1D would give it.
+    Unseen topics read the N(0, beta) prior cfg.prior.
     """
-    skills = [model.skills.get(t) or Gaussian1D(0.0, cfg.beta) for t, _ in event.topics]
+    skills = [model.skills.get(t, cfg.prior) for t, _ in event.topics]
     depths = [depth for _, depth in event.topics]
     return depths, [s.mean for s in skills], [s.variance for s in skills]
 
@@ -197,12 +196,11 @@ def update(
         try:
             posteriors = _posteriors(event, depths, means, variances, mean_d, var_d, cfg)
         except ValueError:
-            # t, a posterior mean, mean / variance or 1 / variance overflowed.
+            # t or a posterior mean overflowed, or Gaussian1D cannot store a posterior.
             pass
     if posteriors is None:
-        prior = Gaussian1D(0.0, cfg.beta)
         for topic_id, _ in event.topics:
-            model.skills.setdefault(topic_id, prior)
+            model.skills.setdefault(topic_id, cfg.prior)
     else:
         model.skills.update(posteriors)
     return outputs

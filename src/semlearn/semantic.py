@@ -103,9 +103,9 @@ def propagate_prior(
     try:
         return Gaussian1D(mean, variance)
     except ValueError:
-        # Relatedness so small the variance underflowed to 0, or so far that
-        # 1 / variance or mean / variance overflows: nothing usable
-        # propagates, keep the default prior.
+        # Relatedness so small the variance underflowed to 0, or a mean or
+        # variance Gaussian1D cannot store: nothing usable propagates, keep
+        # the default prior.
         return Gaussian1D(0.0, default_variance)
 
 

@@ -42,25 +42,59 @@ class TestGaussian1D:
         assert not UNINFORMATIVE.is_proper
 
     # 1e10 / 1e-300 overflows: a finite mean whose stored mean / variance is not.
-    @pytest.mark.parametrize("mean,variance", [(math.inf, 1.0), (math.nan, 1.0), (1e10, 1e-300)])
+    # 1.8e308 / 3 is stored, but its mean would read back as inf.
+    @pytest.mark.parametrize("mean,variance", [
+        (math.inf, 1.0), (math.nan, 1.0), (1e10, 1e-300), (sys.float_info.max, 3.0),
+    ])
     def test_rejects_mean_that_is_not_finite_over_its_variance(self, mean, variance):
-        with pytest.raises(ValueError, match="mean / variance must be finite"):
+        with pytest.raises(ValueError, match="precision_mean / precision must be finite"):
             Gaussian1D(mean, variance)
 
     # Stored, 1 / 1e-310 would be inf: the belief would read mean 0 and variance 0.
     def test_rejects_variance_whose_precision_overflows(self):
-        with pytest.raises(ValueError, match="1 / variance must be finite"):
+        with pytest.raises(ValueError, match="precision must be 0 or finite and positive"):
             Gaussian1D(0.01, 1e-310)
 
-    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan])
+    # The float maximum's precision is subnormal, and its variance would read back as inf.
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, sys.float_info.max])
     def test_rejects_bad_variance(self, variance):
         with pytest.raises(ValueError):
             Gaussian1D(0.0, variance)
 
-    @pytest.mark.parametrize("precision", [-1.0, math.nan])
-    def test_from_natural_rejects_bad_precision(self, precision):
-        with pytest.raises(ValueError, match="precision must be >= 0"):
-            Gaussian1D.from_natural(precision, 0.0)
+    # Every belief that would read back a mean or variance of inf is refused,
+    # multiply's result included.
+    @pytest.mark.parametrize("build,args", [
+        (Gaussian1D.from_natural, (-1.0, 0.0)),
+        (Gaussian1D.from_natural, (math.nan, 0.0)),
+        (Gaussian1D.from_natural, (1e-300, 1e10)),
+        (Gaussian1D.from_natural, (5e-324, 0.0)),
+        (Gaussian1D.from_natural, (1.0, math.inf)),
+        (multiply, (Gaussian1D(1e308, 1.0), Gaussian1D(1e308, 1.0))),
+    ])
+    def test_from_natural_rejects_bad_precision(self, build, args):
+        with pytest.raises(ValueError, match="precision"):
+            build(*args)
+
+    @given(st.sampled_from([Gaussian1D, Gaussian1D.from_natural]), st.floats(), st.floats())
+    @example(Gaussian1D, 0.0, sys.float_info.max)
+    @example(Gaussian1D, sys.float_info.max, 1.0)
+    @example(Gaussian1D, 1.0, 5.56268464626801e-309)
+    @example(Gaussian1D.from_natural, 5e-324, 0.0)
+    @example(Gaussian1D.from_natural, 5.562684646268003e-309, 0.0)
+    @example(Gaussian1D.from_natural, 0.0, math.nan)
+    @example(Gaussian1D.from_natural, sys.float_info.max, sys.float_info.max)
+    def test_every_stored_belief_reads_back_finite(self, build, a, b):
+        try:
+            g = build(a, b)
+        except ValueError:
+            return
+        assert math.isfinite(g.mean)
+        assert g.is_proper == (g.precision > 0.0) == math.isfinite(g.variance)
+        assert g.variance > 0.0
+        back = pickle.loads(pickle.dumps(g))
+        assert (back.precision.hex(), back.precision_mean.hex()) == (
+            g.precision.hex(), g.precision_mean.hex()
+        )
 
     @pytest.mark.parametrize("g,text", [
         (Gaussian1D(0.5, 2.0), "Gaussian1D(mean=0.5, variance=2.0)"),

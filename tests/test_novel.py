@@ -4,7 +4,7 @@ import math
 import operator
 import random
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -125,6 +125,16 @@ class TestModelConfig:
         cfg = ModelConfig()
         assert cfg.beta == 0.5
         assert cfg.decision_threshold == 0.5
+
+    def test_prior_is_the_n0_beta_belief_and_no_field(self):
+        cfg = ModelConfig()
+        assert cfg.prior == Gaussian1D(0.0, 0.5)
+        assert replace(cfg, beta=0.38).prior == Gaussian1D(0.0, 0.38)
+        assert list(asdict(cfg)) == [
+            "beta", "beta_perf", "draw_margin_eps", "dynamics_tau", "depth_skill_level",
+            "decision_threshold",
+        ]
+        assert cfg == ModelConfig() and hash(cfg) == hash(ModelConfig())
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -505,6 +515,7 @@ class TestStep:
         seen = model.skills[2] = Gaussian1D(0.4, 0.2)
         update(model, event([(1, 1e-150), (2, 0.0)], label=-1), cfg)
         assert model.skills == {1: Gaussian1D(0.0, cfg.beta), 2: seen}
+        assert model.skills[1] is cfg.prior
 
     @pytest.mark.parametrize("cfg", [ModelConfig(beta=1e25), ModelConfig(dynamics_tau=1e12)])
     def test_a_huge_prior_or_drift_replays_every_session(self, cfg):
