@@ -115,18 +115,6 @@ class ModelConfig:
         return cls(**values)
 
 
-def _read_skills(
-    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig
-) -> tuple[list[float], list[float], list[float]]:
-    """Depths and the current skill means and variances of the event's topics.
-
-    Unseen topics read the N(0, beta) prior cfg.prior.
-    """
-    skills = [model.skills.get(t, cfg.prior) for t, _ in event.topics]
-    depths = [depth for _, depth in event.topics]
-    return depths, [s.mean for s in skills], [s.variance for s in skills]
-
-
 def _difference_moments(
     depths: list[float], means: list[float], variances: list[float], cfg: ModelConfig
 ) -> tuple[float, float]:
@@ -143,7 +131,39 @@ def _difference_moments(
     return mean_d, var_skills + 2.0 * (cfg.beta_perf * sum_d_sq)
 
 
-def _engagement(mean_d: float, var_d: float, cfg: ModelConfig) -> tuple[float, int]:
+def predict(
+    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig
+) -> tuple[float, int]:
+    """Probability of engagement and the thresholded +-1 prediction.
+
+    Pure: the step `update` run on a scratch model that holds only the
+    event's existing beliefs, so the caller's model is never touched.
+    Unseen topics resolve to the N(0, beta) prior.
+    """
+    skills = model.skills
+    return update(LearnerModel({t: skills[t] for t, _ in event.topics if t in skills}), event, cfg)
+
+
+def update(
+    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig
+) -> tuple[float, int]:
+    """One predict-then-update step; returns (p_engage, prediction).
+
+    The pair is read from the beliefs before this event; unseen topics read
+    the N(0, beta) prior cfg.prior. The skills are then inflated by tau^2
+    and conditioned on the observed outcome, in place. Engaged outcomes
+    condition on |D| <= eps; not-engaged outcomes on the one-sided region
+    beyond the margin, on the side the current mean of D points to. Each
+    skill receives the share of the team correction exact for jointly
+    Gaussian teams. Skills of topics absent from the event are untouched.
+    An event whose posterior the floats cannot hold changes no belief, like
+    one whose depths are all zero.
+    """
+    skills = [model.skills.get(t, cfg.prior) for t, _ in event.topics]
+    depths = [depth for _, depth in event.topics]
+    means = [s.mean for s in skills]
+    variances = [s.variance for s in skills]
+    mean_d, var_d = _difference_moments(depths, means, variances, cfg)
     if var_d == 0.0:
         # All depths zero: D is the constant 0, inside any margin.
         p_engage = 1.0
@@ -155,38 +175,6 @@ def _engagement(mean_d: float, var_d: float, cfg: ModelConfig) -> tuple[float, i
             - ndtr((-cfg.draw_margin_eps - mean_d) / scale)
         )
     prediction = ENGAGED if p_engage >= cfg.decision_threshold else NOT_ENGAGED
-    return p_engage, prediction
-
-
-def predict(
-    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig
-) -> tuple[float, int]:
-    """Probability of engagement and the thresholded +-1 prediction.
-
-    Pure: never touches model state. Unseen topics resolve to the
-    N(0, beta) prior.
-    """
-    depths, means, variances = _read_skills(model, event, cfg)
-    return _engagement(*_difference_moments(depths, means, variances, cfg), cfg)
-
-
-def update(
-    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig
-) -> tuple[float, int]:
-    """One predict-then-update step; returns predict's (p_engage, prediction).
-
-    The pair is read from the beliefs before this event. The skills are then
-    inflated by tau^2 and conditioned on the observed outcome, in place.
-    Engaged outcomes condition on |D| <= eps; not-engaged outcomes on the
-    one-sided region beyond the margin, on the side the current mean of D
-    points to. Each skill receives the share of the team correction exact
-    for jointly Gaussian teams. Skills of topics absent from the event are
-    untouched. An event whose posterior the floats cannot hold changes no
-    belief, like one whose depths are all zero.
-    """
-    depths, means, variances = _read_skills(model, event, cfg)
-    mean_d, var_d = _difference_moments(depths, means, variances, cfg)
-    outputs = _engagement(mean_d, var_d, cfg)
     if cfg.dynamics_tau > 0.0:
         tau_sq = cfg.dynamics_tau * cfg.dynamics_tau
         variances = [v + tau_sq for v in variances]
@@ -203,7 +191,7 @@ def update(
             model.skills.setdefault(topic_id, cfg.prior)
     else:
         model.skills.update(posteriors)
-    return outputs
+    return p_engage, prediction
 
 
 def _posteriors(

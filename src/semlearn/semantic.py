@@ -74,39 +74,40 @@ def propagate_prior(
 ) -> Gaussian1D:
     """Prior belief for a never-seen topic, combined from related seen topics.
 
-    With no related seen topics this falls back to the default
-    N(0, default_variance) prior.
+    With no related seen topics, or none that combine into a storable
+    belief, this falls back to the default N(0, default_variance) prior.
     """
-    neighbors = related_seen_topics(table, target, model.skills.keys(), cfg.omega_size)
-    if not neighbors:
-        return Gaussian1D(0.0, default_variance)
     skills = model.skills
-    # Pairs of (topic, mixing weight): the relatedness itself, unless weights
-    # are inverse standard errors normalized to sum to 1.
-    if cfg.mixing_mode == MIX_INVERSE_STANDARD_ERROR:
-        inv_se = [1.0 / math.sqrt(1.0 / skills[topic].precision) for topic, _ in neighbors]
-        total = 0.0
-        for x in inv_se:  # a plain loop: sum() rounds differently since CPython 3.12
-            total += x
-        neighbors = [(topic, x / total) for (topic, _), x in zip(neighbors, inv_se)]
-    from_source = cfg.variance_source == VARIANCE_FROM_SOURCE
-    inv_size = 1.0 / len(neighbors)
-    mean = 0.0
-    variance = 0.0
-    # Seen skills are proper beliefs, so their mean and variance are read
-    # from the natural parameters exactly as Gaussian1D's properties do.
-    for topic, weight in neighbors:
-        coeff = inv_size * weight
-        source = skills[topic]
-        mean += coeff * (source.precision_mean / source.precision)
-        variance += coeff * coeff * (1.0 / source.precision if from_source else default_variance)
+    neighbors = related_seen_topics(table, target, skills.keys(), cfg.omega_size)
     try:
-        return Gaussian1D(mean, variance)
-    except ValueError:
-        # Relatedness so small the variance underflowed to 0, or a mean or
-        # variance Gaussian1D cannot store: nothing usable propagates, keep
-        # the default prior.
-        return Gaussian1D(0.0, default_variance)
+        if neighbors:
+            # Pairs of (topic, mixing weight): the relatedness itself, unless
+            # weights are inverse standard errors normalized to sum to 1.
+            if cfg.mixing_mode == MIX_INVERSE_STANDARD_ERROR:
+                inv_se = [1.0 / math.sqrt(1.0 / skills[topic].precision) for topic, _ in neighbors]
+                total = 0.0
+                for x in inv_se:  # a plain loop: sum() rounds differently since CPython 3.12
+                    total += x
+                neighbors = [(topic, x / total) for (topic, _), x in zip(neighbors, inv_se)]
+            from_source = cfg.variance_source == VARIANCE_FROM_SOURCE
+            inv_size = 1.0 / len(neighbors)
+            mean = 0.0
+            variance = 0.0
+            # Mean and variance are read from the natural parameters exactly
+            # as Gaussian1D's properties read those of a proper belief.
+            for topic, weight in neighbors:
+                coeff = inv_size * weight
+                source = skills[topic]
+                mean += coeff * (source.precision_mean / source.precision)
+                source_var = 1.0 / source.precision if from_source else default_variance
+                variance += coeff * coeff * source_var
+            return Gaussian1D(mean, variance)
+    except (ValueError, ZeroDivisionError):
+        # An uninformative neighbor (precision 0), relatedness so small the
+        # variance underflowed to 0, or a mean or variance Gaussian1D cannot
+        # store: nothing usable propagates.
+        pass
+    return Gaussian1D(0.0, default_variance)
 
 
 class SemanticPropagator:

@@ -369,6 +369,9 @@ class TestStep:
         ev = event(topics, label=label)
         before = replace(model, skills=dict(model.skills))
         p_expected, pred_expected = predict(before, ev, cfg)
+        # predict is pure: the same keys, each holding the same belief object.
+        assert before.skills.keys() == model.skills.keys()
+        assert all(before.skills[t] is g for t, g in model.skills.items())
         p_engage, prediction = update(model, ev, cfg)
         assert (p_engage.hex(), prediction) == (p_expected.hex(), pred_expected)
 
@@ -467,7 +470,9 @@ class TestStep:
         for lid in sorted(dataset.learners)[:40]:
             model = LearnerModel()
             for ev in dataset.learners[lid]:
-                depths, means, variances = semlearn.novel._read_skills(model, ev, cfg)
+                depths = [d for _, d in ev.topics]
+                skills = [model.skills.get(t, cfg.prior) for t, _ in ev.topics]
+                means, variances = [s.mean for s in skills], [s.variance for s in skills]
                 _, var_d = semlearn.novel._difference_moments(depths, means, variances, cfg)
                 corrections.clear()
                 update(model, ev, cfg)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import semlearn.semantic
 from semlearn.cli import _spec
 from semlearn.data import EngagementEvent, LearnerModel
-from semlearn.gaussians import Gaussian1D
+from semlearn.gaussians import UNINFORMATIVE, Gaussian1D
 from semlearn.novel import ModelConfig, predict, replay_session, update
 from semlearn.relatedness import SRTable, zero_table
 from semlearn.semantic import PropagationConfig, SemanticPropagator, propagate_prior
@@ -174,6 +174,18 @@ class TestPropagatePrior:
         model = model_with({1: (1.0, 1e-300)})
         prior = propagate_prior(model, 100, table, ALL, default_variance=0.7)
         assert (prior.mean, prior.variance) == (0.0, 0.7)
+
+    @pytest.mark.parametrize("mixing_mode", ["semantic_relatedness", "inverse_standard_error"])
+    def test_an_uninformative_neighbor_falls_back_to_default(self, mixing_mode):
+        # Precision 0 has no mean or standard error to lend, in either mode.
+        table = SRTable(metric="w2v")
+        table.set(2, 1, 0.5)
+        table.set(2, 3, 0.9)
+        model = model_with({3: (1.0, 0.5)})
+        model.skills[1] = UNINFORMATIVE
+        cfg = replace(ALL, mixing_mode=mixing_mode)
+        prior = propagate_prior(model, 2, table, cfg, 0.5)
+        assert (prior.mean, prior.variance) == (0.0, 0.5)
 
     def test_monotone_influence_of_a_single_rho(self):
         model = model_with({1: (2.0, 0.4), 2: (-1.0, 0.4)})
