@@ -7,7 +7,6 @@ from .data import (
     DataError,
     EngagementEvent,
     IngestReport,
-    LearnerModel,
     load_events,
     save_events,
     split_learners,
@@ -30,7 +29,6 @@ from .relatedness import (
     load_sr_table,
     min_cut_set_size,
     related_seen_topics,
-    zero_table,
 )
 from .semantic import PropagationConfig, SemanticPropagator, propagate_prior
 
@@ -40,7 +38,6 @@ __all__ = [
     "DataError",
     "EngagementEvent",
     "IngestReport",
-    "LearnerModel",
     "load_events",
     "save_events",
     "split_learners",
@@ -62,7 +59,6 @@ __all__ = [
     "build_topic_graph",
     "avg_connectedness",
     "min_cut_set_size",
-    "zero_table",
     "PropagationConfig",
     "SemanticPropagator",
     "propagate_prior",

@@ -1,4 +1,4 @@
-"""Event-log ingestion and the learner/event representations shared by all models.
+"""Event-log ingestion and the event representation shared by all models.
 
 On disk an event row holds the ``EVENT_FIELDS`` as CSV cells, where the
 label is 0/1 and the topics are a semicolon-joined list of ``topic_id:depth``
@@ -17,8 +17,6 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-
-from .gaussians import Gaussian1D
 
 log = logging.getLogger(__name__)
 
@@ -92,13 +90,6 @@ class EngagementEvent:
 
     def topic_ids(self) -> tuple[int, ...]:
         return tuple(t for t, _ in self.topics)
-
-
-@dataclass
-class LearnerModel:
-    """Per-learner skill state: sparse topic -> Gaussian belief map; a topic with a belief is seen."""
-
-    skills: dict[int, Gaussian1D] = field(default_factory=dict)
 
 
 @dataclass

@@ -23,10 +23,10 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
-from .data import ENGAGED, NOT_ENGAGED, EngagementEvent, LearnerModel
+from .data import ENGAGED, NOT_ENGAGED, EngagementEvent
 from .gaussians import Gaussian1D, _special, truncated_moments_above, truncated_moments_within
 
-Propagator = Callable[[LearnerModel, EngagementEvent], None]
+Propagator = Callable[[dict[int, Gaussian1D], EngagementEvent], None]
 
 # The four (prediction, label) outcomes. Every trace entry is one of these
 # shared objects, so a trace held until scoring costs one list slot per event.
@@ -132,25 +132,25 @@ def _difference_moments(
 
 
 def predict(
-    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig
+    skills: dict[int, Gaussian1D], event: EngagementEvent, cfg: ModelConfig
 ) -> tuple[float, int]:
     """Probability of engagement and the thresholded +-1 prediction.
 
-    Pure: the step `update` run on a scratch model that holds only the
-    event's existing beliefs, so the caller's model is never touched.
+    Pure: the step `update` run on a scratch dict that holds only the
+    event's existing beliefs, so the caller's skills are never touched.
     Unseen topics resolve to the N(0, beta) prior.
     """
-    skills = model.skills
-    return update(LearnerModel({t: skills[t] for t, _ in event.topics if t in skills}), event, cfg)
+    return update({t: skills[t] for t, _ in event.topics if t in skills}, event, cfg)
 
 
 def update(
-    model: LearnerModel, event: EngagementEvent, cfg: ModelConfig
+    skills: dict[int, Gaussian1D], event: EngagementEvent, cfg: ModelConfig
 ) -> tuple[float, int]:
     """One predict-then-update step; returns (p_engage, prediction).
 
-    The pair is read from the beliefs before this event; unseen topics read
-    the N(0, beta) prior cfg.prior. The skills are then inflated by tau^2
+    `skills` is the learner's state: each topic seen maps to its belief. The pair
+    is read from the beliefs before this event; unseen topics read the
+    N(0, beta) prior cfg.prior. The skills are then inflated by tau^2
     and conditioned on the observed outcome, in place. Engaged outcomes
     condition on |D| <= eps; not-engaged outcomes on the one-sided region
     beyond the margin, on the side the current mean of D points to. Each
@@ -159,10 +159,10 @@ def update(
     An event whose posterior the floats cannot hold changes no belief, like
     one whose depths are all zero.
     """
-    skills = [model.skills.get(t, cfg.prior) for t, _ in event.topics]
+    beliefs = [skills.get(t, cfg.prior) for t, _ in event.topics]
     depths = [depth for _, depth in event.topics]
-    means = [s.mean for s in skills]
-    variances = [s.variance for s in skills]
+    means = [s.mean for s in beliefs]
+    variances = [s.variance for s in beliefs]
     mean_d, var_d = _difference_moments(depths, means, variances, cfg)
     if var_d == 0.0:
         # All depths zero: D is the constant 0, inside any margin.
@@ -188,9 +188,9 @@ def update(
             pass
     if posteriors is None:
         for topic_id, _ in event.topics:
-            model.skills.setdefault(topic_id, cfg.prior)
+            skills.setdefault(topic_id, cfg.prior)
     else:
-        model.skills.update(posteriors)
+        skills.update(posteriors)
     return p_engage, prediction
 
 
@@ -237,11 +237,11 @@ def replay_session(
     given, may install informed priors for unseen topics before each
     prediction.
     """
-    model = LearnerModel()
+    skills: dict[int, Gaussian1D] = {}
     outcomes: list[tuple[int, int]] = []
     for event in events:
         if propagator is not None:
-            propagator(model, event)
-        _, prediction = update(model, event, cfg)
+            propagator(skills, event)
+        _, prediction = update(skills, event, cfg)
         outcomes.append(_OUTCOMES[prediction, event.label])
     return outcomes

@@ -47,18 +47,14 @@ class SRTable:
         return sum(map(len, self.neighbours.values())) // 2
 
 
-def zero_table(metric: str = "w2v") -> SRTable:
-    """A table with no related pairs: every topic's neighbour row is empty."""
-    return SRTable(metric=metric)
-
-
 def load_sr_table(path, metric: str) -> SRTable:
     """Load one metric's SR table from a long- or wide-format CSV.
 
     Values outside [0,1] are clamped with a warning; a value that is not finite is an
     error naming its line. Duplicate pairs keep the last value with a count reported. An
-    unknown metric is an error listing what the file provides. A file with no rows loads
-    as a table with no pairs, and a zero-byte file reads as a long-format header.
+    unknown metric is an error listing what the file provides, and so is a wide header
+    that names no metric or one metric twice. A file with no rows loads as a table with
+    no pairs, and a zero-byte file reads as a long-format header.
     """
     metric = metric.lower()
     with open_text(path, "SR table", newline="") as fh, csv_reader(fh, path) as reader:
@@ -72,6 +68,11 @@ def load_sr_table(path, metric: str) -> SRTable:
         if long_format:
             # A long file provides its metric cells, normalised (a live view).
             col, available = 3, metric_cells.values()
+        elif len(header) == 2:
+            raise DataError(f"{path}: SR header names no metric")
+        elif repeated := sorted({h for h in header if header.count(h) > 1}):
+            names = ", ".join(map(repr, repeated))
+            raise DataError(f"{path}: SR header names {names} more than once")
         elif metric in header[2:]:
             col, available = header.index(metric, 2), header[2:]
         else:

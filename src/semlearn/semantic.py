@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .data import EngagementEvent, LearnerModel
+from .data import EngagementEvent
 from .gaussians import Gaussian1D
 from .novel import ModelConfig
 from .relatedness import METRICS, SRTable, related_seen_topics
@@ -66,7 +66,7 @@ class PropagationConfig:
 
 
 def propagate_prior(
-    model: LearnerModel,
+    skills: dict[int, Gaussian1D],
     target: int,
     table: SRTable,
     cfg: PropagationConfig,
@@ -77,7 +77,6 @@ def propagate_prior(
     With no related seen topics, or none that combine into a storable
     belief, this falls back to the default N(0, default_variance) prior.
     """
-    skills = model.skills
     neighbors = related_seen_topics(table, target, skills.keys(), cfg.omega_size)
     try:
         if neighbors:
@@ -122,13 +121,13 @@ class SemanticPropagator:
         self.prop_cfg = prop_cfg
         self.base_cfg = base_cfg
 
-    def __call__(self, model: LearnerModel, event: EngagementEvent) -> None:
+    def __call__(self, skills: dict[int, Gaussian1D], event: EngagementEvent) -> None:
         # Every prior is computed before any is installed, so each draws only
         # on topics seen before this event.
         priors = {
-            topic_id: propagate_prior(model, topic_id, self.table, self.prop_cfg, self.base_cfg.beta)
+            topic_id: propagate_prior(skills, topic_id, self.table, self.prop_cfg, self.base_cfg.beta)
             for topic_id, _ in event.topics
-            if topic_id not in model.skills
+            if topic_id not in skills
         }
-        model.skills.update(priors)
+        skills.update(priors)
 

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from semlearn.data import EngagementEvent, LearnerModel, save_events
+from semlearn.data import EngagementEvent, save_events
 from semlearn.evaluation import (
     aggregate,
     paired_t_test_one_tailed,
@@ -32,9 +32,9 @@ from semlearn.gaussians import (
 from semlearn.novel import ModelConfig, replay_session, update
 from semlearn.relatedness import (
     LearnerTopicGraph,
+    SRTable,
     avg_connectedness,
     min_cut_set_size,
-    zero_table,
 )
 from semlearn.semantic import PropagationConfig, SemanticPropagator, propagate_prior
 from semlearn.cli import main as cli_main
@@ -82,8 +82,6 @@ def test_criterion_1_gaussian_core_oracles():
 def test_criterion_2_propagation_matches_monte_carlo():
     started = time.perf_counter()
     rng = random.Random(77)
-    from semlearn.relatedness import SRTable
-
     for case in range(50):
         m = rng.randint(1, 8)
         neighbors = [
@@ -91,10 +89,10 @@ def test_criterion_2_propagation_matches_monte_carlo():
             for _ in range(m)
         ]
         table = SRTable(metric="w2v")
-        model = LearnerModel()
+        model = {}
         for i, (mu, var, rho) in enumerate(neighbors, start=1):
             table.set(10_000, i, rho)
-            model.skills[i] = Gaussian1D(mu, var)
+            model[i] = Gaussian1D(mu, var)
         prior = propagate_prior(model, 10_000, table, ALL_RELATED, default_variance=0.5)
         mc_mean, mc_var = propagation_mc(neighbors, n_samples=10**6, seed=9000 + case)
         assert abs(prior.mean - mc_mean) <= 1e-2
@@ -105,7 +103,7 @@ def test_criterion_2_propagation_matches_monte_carlo():
 def test_criterion_3_degeneracy_byte_identical():
     dataset = random_sessions(n_learners=100, seed=31, max_events=25)
     cfg = ModelConfig()
-    propagator = SemanticPropagator(zero_table(), ALL_RELATED, cfg)
+    propagator = SemanticPropagator(SRTable("w2v"), ALL_RELATED, cfg)
     baseline = {lid: replay_session(evs, cfg) for lid, evs in dataset.learners.items()}
     semantic = {lid: replay_session(evs, cfg, propagator) for lid, evs in dataset.learners.items()}
     base_bytes = json.dumps(baseline, sort_keys=True).encode()
@@ -125,14 +123,13 @@ def test_criterion_4_single_topic_update_oracle():
         prior_var = rng.uniform(0.1, 1.5)
         depth = rng.uniform(0.2, 1.0)
         label = rng.choice([1, -1])
-        model = LearnerModel()
-        model.skills[1] = Gaussian1D(prior_mean, prior_var)
+        model = {1: Gaussian1D(prior_mean, prior_var)}
         update(model, EngagementEvent("x", 0, ((1, depth),), label), cfg)
         mean_ref, var_ref = single_topic_posterior_grid(
             prior_mean, prior_var, depth, cfg.draw_margin_eps, label, cfg.beta_perf
         )
-        assert abs(model.skills[1].mean - mean_ref) <= 1e-4
-        assert abs(model.skills[1].variance - var_ref) <= 1e-4
+        assert abs(model[1].mean - mean_ref) <= 1e-4
+        assert abs(model[1].variance - var_ref) <= 1e-4
 
 
 def test_criterion_5_statistics_oracles():

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 import semlearn
 from semlearn import evaluation, runs
 from semlearn.cli import _parser, _spec, main
-from semlearn.data import LearnerModel, save_events, split_learners
+from semlearn.data import save_events, split_learners
 from semlearn.novel import (
     MAX_DEPTH_SKILL_LEVEL, MAX_DRAW_MARGIN_EPS, MAX_DYNAMICS_TAU, ModelConfig, update,
 )
@@ -927,7 +928,6 @@ UNREFERENCED_ALLOWED = {
     "multiply": "Gaussian algebra the acceptance tests pin",
     "divide": "Gaussian algebra the acceptance tests pin",
     "save_events": "the acceptance tests write corpora with it",
-    "zero_table": "the acceptance tests compare against a table with no pairs",
     "srocc_exact_permutation": "acceptance criterion 5 checks its p against oracles.spearman_exact_permutation_p",
     "predict": "the README's pure read; perfbench/tracer.py wraps it by name",
     "SRTable.set": "the README's way to build a table in code; the acceptance tests use it",
@@ -1045,6 +1045,26 @@ def test_pool_is_no_larger_than_the_learners_replayed(corpus, tmp_path, monkeypa
     assert digest(outs[64] / "report.json") == digest(outs[1] / "report.json")
 
 
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_replay_bytes_under_every_start_method(corpus, tmp_path, monkeypatch, method):
+    # A forked worker inherits the parent's modules and variants; a spawned
+    # or forkserver one imports semlearn and unpickles the variants afresh.
+    starts = []
+    real = runs.ProcessPoolExecutor
+
+    def with_method(**kwargs):
+        starts.append(method)
+        return real(mp_context=multiprocessing.get_context(method), **kwargs)
+
+    args = ["evaluate", "--compare", "--data", corpus["events"], "--sr-table", corpus["sr"],
+            "--seed", 7]
+    assert run([*args, "--workers", 1, "--out-dir", tmp_path / "serial"]) == 0
+    monkeypatch.setattr(runs, "ProcessPoolExecutor", with_method)
+    assert run([*args, "--workers", 2, "--out-dir", tmp_path / method]) == 0
+    assert starts == [method]
+    assert digest(tmp_path / method / "report.json") == digest(tmp_path / "serial" / "report.json")
+
+
 def test_setup_probe_reports_its_stages(corpus):
     # perfbench/setup_probe.py times setup through these runs attributes and
     # Dataset methods; a rename here would stop the probe.
@@ -1141,7 +1161,7 @@ class TestRunHelpers:
         cfg = ModelConfig()
         expected = {}
         for lid in ds.test_ids():
-            model = LearnerModel()
+            model = {}
             expected[lid] = [(update(model, ev, cfg)[1], ev.label) for ev in ds.learners[lid]]
         for workers in (1, 2):
             [traces] = runs.replay_cohort(ds, ds.test_ids(), [(cfg, None)], workers=workers)

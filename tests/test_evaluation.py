@@ -22,7 +22,7 @@ from semlearn.evaluation import (
     srocc_exact_permutation,
 )
 from semlearn.evaluation import _pairwise_sum, _t_two_sided_p
-from semlearn.relatedness import SRTable, zero_table
+from semlearn.relatedness import SRTable
 from semlearn.runs import RunSpec, analyze_run
 
 from oracles import (
@@ -336,7 +336,7 @@ class TestSessionFeatures:
 
     def test_basic_feature_row(self):
         ds, traces = self.dataset_and_traces()
-        features = session_feature_table(ds, traces, zero_table())
+        features = session_feature_table(ds, traces, SRTable("w2v"))
         assert set(features) == set(SESSION_FEATURES)
         assert features["n_events"] == [10.0]
         assert features["n_unique_topics"] == [4.0]
@@ -369,7 +369,7 @@ class TestSessionFeatures:
             traces[lid] = [(rng.choice([1, -1]), ev.label) for ev in events]
         ds = Dataset(learners=learners)
         order = sorted(learners, reverse=True)  # the table sorts its learners itself
-        features = session_feature_table(ds, order, zero_table())
+        features = session_feature_table(ds, order, SRTable("w2v"))
         recalls = [score_learner(lid, traces[lid]).recall for lid in sorted(learners)]
         stats = session_feature_srocc(features, recalls)
         n_events = [float(len(learners[lid])) for lid in sorted(learners)]

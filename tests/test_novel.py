@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semlearn.novel
-from semlearn.data import Dataset, EngagementEvent, LearnerModel
+from semlearn.data import Dataset, EngagementEvent
 from semlearn.gaussians import Gaussian1D
 from semlearn.novel import (
     MAX_DEPTH_SKILL_LEVEL, MAX_DRAW_MARGIN_EPS, MAX_DYNAMICS_TAU, ModelConfig, predict,
@@ -110,13 +110,13 @@ propagation_configs = st.builds(
 
 def assert_replays(events, cfg, propagator=None):
     """Each step's p_engage in [0, 1], and every belief after it proper with a finite mean."""
-    model = LearnerModel()
+    model = {}
     for ev in events:
         if propagator is not None:
             propagator(model, ev)
         p_engage, _ = update(model, ev, cfg)
         assert 0.0 <= p_engage <= 1.0
-    for skill in model.skills.values():
+    for skill in model.values():
         assert math.isfinite(skill.mean) and 0.0 < skill.variance < math.inf
 
 
@@ -188,20 +188,20 @@ class TestPredict:
     def test_fresh_learners_identical(self):
         cfg = ModelConfig()
         ev = event([(1, 0.5), (2, 0.8)])
-        p1, _ = predict(LearnerModel(), ev, cfg)
-        p2, _ = predict(LearnerModel(), ev, cfg)
+        p1, _ = predict({}, ev, cfg)
+        p2, _ = predict({}, ev, cfg)
         assert p1 == p2
 
     def test_huge_margin_means_certain_engagement(self):
         cfg = ModelConfig(draw_margin_eps=1e6)
-        p, prediction = predict(LearnerModel(), event([(1, 1.0)]), cfg)
+        p, prediction = predict({}, event([(1, 1.0)]), cfg)
         assert p == pytest.approx(1.0)
         assert prediction == 1
 
     def test_single_topic_matches_quadrature(self):
         # frozen: integral of N(0, 1*0.5 + 2*0.5*1) over [-0.5, 0.5]
         cfg = ModelConfig(beta=0.5, beta_perf=0.5, draw_margin_eps=0.5)
-        p, _ = predict(LearnerModel(), event([(1, 1.0)]), cfg)
+        p, _ = predict({}, event([(1, 1.0)]), cfg)
         assert p == pytest.approx(0.316908601690, abs=1e-9)
 
     def test_random_states_match_quadrature(self):
@@ -212,7 +212,7 @@ class TestPredict:
                 beta_perf=rng.uniform(0.1, 2.0),
                 draw_margin_eps=rng.uniform(0.1, 2.0),
             )
-            model = LearnerModel()
+            model = {}
             topics = []
             mean_d = 0.0
             var_d = 0.0
@@ -221,7 +221,7 @@ class TestPredict:
                 depth = rng.uniform(0.1, 1.0)
                 mu = rng.uniform(-2, 2)
                 var = rng.uniform(0.05, 2.0)
-                model.skills[t] = Gaussian1D(mu, var)
+                model[t] = Gaussian1D(mu, var)
                 topics.append((t, depth))
                 mean_d += depth * mu
                 var_d += depth * depth * var
@@ -235,15 +235,15 @@ class TestPredict:
 
     def test_prediction_thresholding(self):
         cfg = ModelConfig(beta=0.5, beta_perf=0.5, draw_margin_eps=0.5, decision_threshold=0.3)
-        _, prediction = predict(LearnerModel(), event([(1, 1.0)]), cfg)
+        _, prediction = predict({}, event([(1, 1.0)]), cfg)
         assert prediction == 1  # p ~= 0.317 >= 0.3
         cfg2 = replace(cfg, decision_threshold=0.4)
-        _, prediction = predict(LearnerModel(), event([(1, 1.0)]), cfg2)
+        _, prediction = predict({}, event([(1, 1.0)]), cfg2)
         assert prediction == -1
 
     def test_all_zero_depths_is_a_certain_draw(self):
         cfg = ModelConfig()
-        p, prediction = predict(LearnerModel(), event([(1, 0.0), (2, 0.0)]), cfg)
+        p, prediction = predict({}, event([(1, 0.0), (2, 0.0)]), cfg)
         assert p == 1.0
         assert prediction == 1
 
@@ -251,53 +251,50 @@ class TestPredict:
 class TestUpdate:
     def test_untouched_topic_bitwise_unchanged(self):
         cfg = ModelConfig()
-        model = LearnerModel()
         frozen = Gaussian1D(0.7, 0.2)
-        model.skills[42] = frozen
+        model = {42: frozen}
         update(model, event([(1, 0.5)]), cfg)
-        assert model.skills[42] is frozen
+        assert model[42] is frozen
 
     def test_deepcopy_after_update_is_independent(self):
         cfg = ModelConfig()
-        model = LearnerModel()
+        model = {}
         update(model, event([(1, 0.5), (2, 0.3)]), cfg)
         snapshot = copy.deepcopy(model)
         assert snapshot == model
-        assert snapshot.skills[1] is not model.skills[1]
+        assert snapshot[1] is not model[1]
         update(model, event([(1, 0.5)], label=-1, order=1), cfg)
         assert snapshot != model
 
     def test_repeated_engagement_shrinks_variance_monotonically(self):
         cfg = ModelConfig(dynamics_tau=0.0)
-        model = LearnerModel()
+        model = {}
         variances = []
         for order in range(20):
             update(model, event([(5, 0.8)], label=1, order=order), cfg)
-            variances.append(model.skills[5].variance)
+            variances.append(model[5].variance)
         assert all(b < a for a, b in zip(variances, variances[1:]))
 
     def test_posterior_variance_below_inflated_prior(self):
         cfg = ModelConfig(dynamics_tau=0.3)
-        model = LearnerModel()
-        model.skills[1] = Gaussian1D(0.5, 0.4)
+        model = {1: Gaussian1D(0.5, 0.4)}
         update(model, event([(1, 1.0)], label=-1), cfg)
-        assert model.skills[1].variance < 0.4 + 0.09
+        assert model[1].variance < 0.4 + 0.09
 
     def test_topics_seen(self):
         cfg = ModelConfig()
-        model = LearnerModel()
+        model = {}
         update(model, event([(1, 0.5), (2, 0.5)]), cfg)
-        assert model.skills.keys() == {1, 2}
+        assert model.keys() == {1, 2}
 
     def test_all_zero_depths_update_carries_no_information(self):
         cfg = ModelConfig()
-        model = LearnerModel()
         before = Gaussian1D(0.4, 0.2)
-        model.skills[1] = before
+        model = {1: before}
         update(model, event([(1, 0.0), (2, 0.0)], label=-1), cfg)
-        assert model.skills[1] is before
-        assert model.skills[2].variance == cfg.beta
-        assert model.skills.keys() == {1, 2}
+        assert model[1] is before
+        assert model[2].variance == cfg.beta
+        assert model.keys() == {1, 2}
 
     @pytest.mark.parametrize("label", [1, -1])
     def test_single_topic_posterior_matches_grid_oracle(self, label):
@@ -311,14 +308,13 @@ class TestUpdate:
             prior_mean = rng.uniform(-2.0, 2.0)
             prior_var = rng.uniform(0.1, 1.5)
             depth = rng.uniform(0.2, 1.0)
-            model = LearnerModel()
-            model.skills[3] = Gaussian1D(prior_mean, prior_var)
+            model = {3: Gaussian1D(prior_mean, prior_var)}
             update(model, event([(3, depth)], label=label), cfg)
             mean_ref, var_ref = single_topic_posterior_grid(
                 prior_mean, prior_var, depth, cfg.draw_margin_eps, label, cfg.beta_perf
             )
-            assert model.skills[3].mean == pytest.approx(mean_ref, abs=1e-4)
-            assert model.skills[3].variance == pytest.approx(var_ref, abs=1e-4)
+            assert model[3].mean == pytest.approx(mean_ref, abs=1e-4)
+            assert model[3].variance == pytest.approx(var_ref, abs=1e-4)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -331,11 +327,10 @@ class TestUpdate:
         self, prior_mean, prior_var, depth, label
     ):
         cfg = ModelConfig(beta=0.5, beta_perf=0.5, draw_margin_eps=0.4)
-        model = LearnerModel()
-        model.skills[1] = Gaussian1D(prior_mean, prior_var)
+        model = {1: Gaussian1D(prior_mean, prior_var)}
         before = depth * prior_mean
         update(model, event([(1, depth)], label=label), cfg)
-        after = depth * model.skills[1].mean
+        after = depth * model[1].mean
         shift = after - before
         if label == 1:
             # engaged pulls the difference toward the draw region (toward 0)
@@ -363,15 +358,15 @@ class TestStep:
     )
     def test_update_returns_predict_of_pre_update_model(self, skills, topics, label, beta, tau):
         cfg = ModelConfig(beta=beta, dynamics_tau=tau)
-        model = LearnerModel()
+        model = {}
         for topic, (mean, var) in enumerate(skills):
-            model.skills[topic] = Gaussian1D(mean, var)
+            model[topic] = Gaussian1D(mean, var)
         ev = event(topics, label=label)
-        before = replace(model, skills=dict(model.skills))
+        before = dict(model)
         p_expected, pred_expected = predict(before, ev, cfg)
         # predict is pure: the same keys, each holding the same belief object.
-        assert before.skills.keys() == model.skills.keys()
-        assert all(before.skills[t] is g for t, g in model.skills.items())
+        assert before.keys() == model.keys()
+        assert all(before[t] is g for t, g in model.items())
         p_engage, prediction = update(model, ev, cfg)
         assert (p_engage.hex(), prediction) == (p_expected.hex(), pred_expected)
 
@@ -384,8 +379,7 @@ class TestStep:
 
         def step():
             skills = {0: Gaussian1D(1e16, 1.0), 1: Gaussian1D(1.0, 1.0), 2: Gaussian1D(-1e16, 1.0)}
-            model = LearnerModel(skills=skills)
-            p_engage, _ = update(model, ev, ModelConfig())
+            p_engage, _ = update(skills, ev, ModelConfig())
             return p_engage.hex(), [(g.mean.hex(), g.variance.hex()) for g in skills.values()]
 
         expected = step()
@@ -412,13 +406,13 @@ class TestStep:
             traces.update(repr(replay_session(events, cfg)).encode())
             traces.update(repr(replay_session(events, cfg, semantic)).encode())
             for propagator in (None, semantic):
-                model = LearnerModel()
+                model = {}
                 for ev in events:
                     if propagator is not None:
                         propagator(model, ev)
                     beliefs.update(repr(update(model, ev, cfg)).encode())
-                for topic in sorted(model.skills):
-                    skill = model.skills[topic]
+                for topic in sorted(model):
+                    skill = model[topic]
                     beliefs.update(repr((topic, skill.precision, skill.precision_mean)).encode())
         assert traces.hexdigest() == "48ba32f2bfd02d99ddf31110cb22a8cd9cf06d0e6112bf63a716abe6058ded9d"
         assert beliefs.hexdigest() == "fd54b483b711b101f6f7183f48dc54603e3b61bfc057a0f1f06f6a68a4421fb7"
@@ -444,11 +438,11 @@ class TestStep:
     @example(cfg=ModelConfig(beta_perf=1e308), seed=9)
     def test_step_keeps_beliefs_proper_for_any_valid_config(self, cfg, seed):
         for events in random_sessions(n_learners=10, seed=seed, max_events=30).learners.values():
-            model = LearnerModel()
+            model = {}
             for ev in events:
                 p_engage, _ = update(model, ev, cfg)
                 assert 0.0 <= p_engage <= 1.0
-            for skill in model.skills.values():
+            for skill in model.values():
                 assert skill.is_proper and math.isfinite(skill.mean)
 
 
@@ -468,10 +462,10 @@ class TestStep:
         dataset = random_sessions(n_learners=300, seed=5, min_events=30, max_events=30)
         floored = 0
         for lid in sorted(dataset.learners)[:40]:
-            model = LearnerModel()
+            model = {}
             for ev in dataset.learners[lid]:
                 depths = [d for _, d in ev.topics]
-                skills = [model.skills.get(t, cfg.prior) for t, _ in ev.topics]
+                skills = [model.get(t, cfg.prior) for t, _ in ev.topics]
                 means, variances = [s.mean for s in skills], [s.variance for s in skills]
                 _, var_d = semlearn.novel._difference_moments(depths, means, variances, cfg)
                 corrections.clear()
@@ -482,7 +476,7 @@ class TestStep:
                         continue
                     floored += 1
                     exact = team_posterior_variance_exact(depths, variances, i, w, cfg.beta_perf)
-                    stored = Fraction(model.skills[topic].variance)
+                    stored = Fraction(model[topic].variance)
                     assert abs(stored - exact) <= exact * Fraction(1, 10**15), (lid, ev, topic)
         # 104 along the old step's path, whose floored beliefs steered later events.
         assert floored == 103
@@ -516,11 +510,11 @@ class TestStep:
         # beyond eps / depth, about 1e149, with a variance near 1e-299: mean /
         # variance overflows, so the event carries no information.
         cfg = ModelConfig(beta_perf=1e-300)
-        model = LearnerModel()
-        seen = model.skills[2] = Gaussian1D(0.4, 0.2)
+        model = {}
+        seen = model[2] = Gaussian1D(0.4, 0.2)
         update(model, event([(1, 1e-150), (2, 0.0)], label=-1), cfg)
-        assert model.skills == {1: Gaussian1D(0.0, cfg.beta), 2: seen}
-        assert model.skills[1] is cfg.prior
+        assert model == {1: Gaussian1D(0.0, cfg.beta), 2: seen}
+        assert model[1] is cfg.prior
 
     @pytest.mark.parametrize("cfg", [ModelConfig(beta=1e25), ModelConfig(dynamics_tau=1e12)])
     def test_a_huge_prior_or_drift_replays_every_session(self, cfg):
@@ -528,10 +522,10 @@ class TestStep:
         # overflowed in 126 and 54 of these sessions.
         dataset = random_sessions(n_learners=300, seed=5, min_events=30, max_events=30)
         for events in dataset.learners.values():
-            model = LearnerModel()
+            model = {}
             for ev in events:
                 update(model, ev, cfg)
-            for skill in model.skills.values():
+            for skill in model.values():
                 assert skill.is_proper and math.isfinite(skill.mean)
 
 
@@ -542,7 +536,7 @@ class TestReplaySession:
     def test_single_event_uses_pure_priors(self):
         cfg = ModelConfig()
         ev = event([(1, 0.5)], label=-1)
-        p_prior, prediction = predict(LearnerModel(), ev, cfg)
+        p_prior, prediction = predict({}, ev, cfg)
         assert replay_session([ev], cfg) == [(prediction, -1)]
 
     def test_alignment_with_labels(self):
@@ -570,8 +564,8 @@ class TestReplaySession:
         cfg = ModelConfig()
         ds = random_sessions(n_learners=5, seed=4)
         for events in ds.learners.values():
-            model = LearnerModel()
+            model = {}
             for ev in events:
                 update(model, ev, cfg)
             distinct = {t for ev in events for t in ev.topic_ids()}
-            assert set(model.skills) <= distinct
+            assert set(model) <= distinct

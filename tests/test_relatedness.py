@@ -18,7 +18,6 @@ from semlearn.relatedness import (
     load_sr_table,
     min_cut_set_size,
     related_seen_topics,
-    zero_table,
 )
 from semlearn.relatedness import _disjoint_paths, _split_arcs
 from semlearn.semantic import OMEGA_SIZES
@@ -131,6 +130,19 @@ class TestLoadSrTable:
     def test_wide_format_unknown_metric(self, tmp_path):
         path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,mw", "1,2,0.1"])
         with pytest.raises(DataError, match="available: mw"):
+            load_sr_table(path, "w2v")
+
+    @pytest.mark.parametrize("header", ["topic_a,topic_b,w2v,W2V", "topic_a,topic_b,w2v,mw,w2v"])
+    @pytest.mark.parametrize("metric", ["w2v", "mw"])
+    def test_wide_header_naming_a_metric_twice_is_refused(self, tmp_path, header, metric):
+        # The bad row is never read: the header alone is refused.
+        path = write_lines(tmp_path / "sr.csv", [header, "1,2,0.1,0.2,0.3", "not,a,row"])
+        with pytest.raises(DataError, match=re.escape(f"{path}: SR header names 'w2v' more than once")):
+            load_sr_table(path, metric)
+
+    def test_wide_header_naming_no_metric_is_refused(self, tmp_path):
+        path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b", "1,2"])
+        with pytest.raises(DataError, match=re.escape(f"{path}: SR header names no metric")):
             load_sr_table(path, "w2v")
 
     @pytest.mark.parametrize("header", ["topic_a,topic_b,metric,value", "topic_a,topic_b,w2v"])
@@ -272,7 +284,7 @@ class TestRelatedSeenTopics:
         assert related_seen_topics(t, 100, {4, 7}, k=1) == [(4, 0.5)]
 
     def test_zero_related_excluded(self):
-        assert related_seen_topics(zero_table(), 100, {1, 2, 3}, k=None) == []
+        assert related_seen_topics(SRTable("w2v"), 100, {1, 2, 3}, k=None) == []
 
     @settings(max_examples=50)
     @given(st.integers(1, 9))

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import semlearn.semantic
 from semlearn.cli import _spec
-from semlearn.data import EngagementEvent, LearnerModel
+from semlearn.data import EngagementEvent
 from semlearn.gaussians import UNINFORMATIVE, Gaussian1D
 from semlearn.novel import ModelConfig, predict, replay_session, update
-from semlearn.relatedness import SRTable, zero_table
+from semlearn.relatedness import SRTable
 from semlearn.semantic import PropagationConfig, SemanticPropagator, propagate_prior
 
 from oracles import propagation_mc
@@ -21,11 +21,8 @@ from synthetic import clustered_corpus, random_sessions, random_sr_table
 ALL = PropagationConfig(sr_metric="w2v", omega_size=None)
 
 
-def model_with(skills: dict[int, tuple[float, float]]) -> LearnerModel:
-    model = LearnerModel()
-    for topic, (mean, var) in skills.items():
-        model.skills[topic] = Gaussian1D(mean, var)
-    return model
+def model_with(skills: dict[int, tuple[float, float]]) -> dict[int, Gaussian1D]:
+    return {topic: Gaussian1D(mean, var) for topic, (mean, var) in skills.items()}
 
 
 class TestPropagationConfig:
@@ -83,10 +80,10 @@ class TestPropagatePrior:
         neighbors = [(2.0, 0.5, 0.8), (-1.0, 1.0, 0.4)]
         mc_mean, mc_var = propagation_mc(neighbors, n_samples=10**6, seed=5)
         table = SRTable(metric="w2v")
-        model = LearnerModel()
+        model = {}
         for i, (mu, var, rho) in enumerate(neighbors, start=1):
             table.set(100, i, rho)
-            model.skills[i] = Gaussian1D(mu, var)
+            model[i] = Gaussian1D(mu, var)
         prior = propagate_prior(model, 100, table, ALL, default_variance=0.5)
         assert prior.mean == pytest.approx(mc_mean, abs=1e-2)
         assert prior.variance == pytest.approx(mc_var, abs=1e-2)
@@ -94,7 +91,7 @@ class TestPropagatePrior:
     # A relatedness of 1e-170 is a neighbour whose squared weight underflows to 0.
     @pytest.mark.parametrize("related", [{}, {1: 1e-170}])
     def test_empty_neighborhood_falls_back_to_default(self, related):
-        table = zero_table()
+        table = SRTable("w2v")
         for topic, rho in related.items():
             table.set(100, topic, rho)
         model = model_with({topic: (2.0, 0.5) for topic in related})
@@ -140,10 +137,10 @@ class TestPropagatePrior:
             ]
             mc_mean, mc_var = propagation_mc(neighbors, n_samples=10**6, seed=1000 + case)
             table = SRTable(metric="w2v")
-            model = LearnerModel()
+            model = {}
             for i, (mu, var, rho) in enumerate(neighbors, start=1):
                 table.set(999, i, rho)
-                model.skills[i] = Gaussian1D(mu, var)
+                model[i] = Gaussian1D(mu, var)
             prior = propagate_prior(model, 999, table, ALL, default_variance=0.5)
             assert prior.mean == pytest.approx(mc_mean, abs=1e-2)
             assert prior.variance == pytest.approx(mc_var, abs=1e-2)
@@ -160,10 +157,10 @@ class TestPropagatePrior:
     )
     def test_propagated_variance_never_exceeds_max_source(self, neighbors):
         table = SRTable(metric="w2v")
-        model = LearnerModel()
+        model = {}
         for i, (mu, var, rho) in enumerate(neighbors, start=1):
             table.set(999, i, rho)
-            model.skills[i] = Gaussian1D(mu, var)
+            model[i] = Gaussian1D(mu, var)
         prior = propagate_prior(model, 999, table, ALL, default_variance=0.5)
         assert prior.variance <= max(var for _, var, _ in neighbors) + 1e-12
 
@@ -182,7 +179,7 @@ class TestPropagatePrior:
         table.set(2, 1, 0.5)
         table.set(2, 3, 0.9)
         model = model_with({3: (1.0, 0.5)})
-        model.skills[1] = UNINFORMATIVE
+        model[1] = UNINFORMATIVE
         cfg = replace(ALL, mixing_mode=mixing_mode)
         prior = propagate_prior(model, 2, table, cfg, 0.5)
         assert (prior.mean, prior.variance) == (0.0, 0.5)
@@ -209,7 +206,7 @@ class TestPropagatePrior:
         # left-to-right sum give different priors.
         skills = {0: (0.19, 2.9), 1: (-1.94, 1.48), 2: (0.88, 2.61), 3: (-0.4, 0.86), 4: (1.3, 2.43)}
         model = model_with(skills)
-        inv_se = [1.0 / math.sqrt(1.0 / model.skills[i].precision) for i in skills]
+        inv_se = [1.0 / math.sqrt(1.0 / model[i].precision) for i in skills]
         assert sum(inv_se) != math.fsum(inv_se)
         table = SRTable(metric="w2v")
         for i in skills:
@@ -237,8 +234,8 @@ class TestSemanticStep:
         p_base, pred_base = predict(model_b, ev, cfg)
         update(model_b, ev, cfg)
         assert (p_sem, pred_sem) == (p_base, pred_base)
-        assert model_a.skills[1] == model_b.skills[1]
-        assert model_a.skills[2] == model_b.skills[2]
+        assert model_a[1] == model_b[1]
+        assert model_a[2] == model_b[2]
 
     def test_unseen_topic_prior_equals_injected_baseline(self):
         # one seen related topic (rho=0.9, skill N(2, 0.1)) -> prior N(1.8, 0.081)
@@ -250,17 +247,17 @@ class TestSemanticStep:
         SemanticPropagator(table, ALL, cfg)(sem_model, ev)
         p_sem, _ = update(sem_model, ev, cfg)
         injected = model_with({1: (2.0, 0.1)})
-        injected.skills[100] = Gaussian1D(0.9 * 2.0, 0.81 * 0.1)
+        injected[100] = Gaussian1D(0.9 * 2.0, 0.81 * 0.1)
         p_base, _ = predict(injected, ev, cfg)
         assert p_sem == p_base
 
     def test_marks_event_topics_seen(self):
-        table = zero_table()
-        model = LearnerModel()
+        table = SRTable("w2v")
+        model = {}
         ev = EngagementEvent("x", 0, ((7, 0.5), (8, 0.5)), -1)
         SemanticPropagator(table, ALL, ModelConfig())(model, ev)
         update(model, ev, ModelConfig())
-        assert model.skills.keys() == {7, 8}
+        assert model.keys() == {7, 8}
 
     def test_priors_within_one_event_come_from_seen_topics_only(self):
         # 100 and 101 are related to each other and to the seen topic 1: each
@@ -275,9 +272,9 @@ class TestSemanticStep:
         SemanticPropagator(table, ALL, cfg)(model, ev)
         for topic, rho in ((100, 0.5), (101, 0.7)):
             alone = propagate_prior(model_with({1: (2.0, 0.1)}), topic, table, ALL, cfg.beta)
-            assert model.skills[topic] == alone
-            assert model.skills[topic].mean == pytest.approx(rho * 2.0)
-            assert model.skills[topic].variance == pytest.approx(rho * rho * 0.1)
+            assert model[topic] == alone
+            assert model[topic].mean == pytest.approx(rho * 2.0)
+            assert model[topic].variance == pytest.approx(rho * rho * 0.1)
 
     def test_a_belief_placed_before_the_replay_is_seen(self):
         # A topic with a belief is seen: it lends that belief to its neighbours,
@@ -286,34 +283,34 @@ class TestSemanticStep:
         table.set(100, 1, 0.9)
         cfg = ModelConfig()
         placed = Gaussian1D(2.0, 0.1)
-        model = LearnerModel(skills={1: placed})
+        model = {1: placed}
         ev = EngagementEvent("x", 0, ((1, 0.6), (100, 0.5)), 1)
         SemanticPropagator(table, ALL, cfg)(model, ev)
-        assert model.skills[1] is placed
-        assert model.skills[100].mean == pytest.approx(0.9 * 2.0)
-        assert model.skills[100].variance == pytest.approx(0.81 * 0.1)
+        assert model[1] is placed
+        assert model[100].mean == pytest.approx(0.9 * 2.0)
+        assert model[100].variance == pytest.approx(0.81 * 0.1)
 
     def test_first_encounter_only(self):
         table = SRTable(metric="w2v")
         table.set(1, 2, 0.9)
         cfg = ModelConfig()
-        model = LearnerModel()
+        model = {}
         propagator = SemanticPropagator(table, ALL, cfg)
         ev1 = EngagementEvent("x", 0, ((1, 0.8),), 1)
         propagator(model, ev1)
         update(model, ev1, cfg)
-        belief_after_update = model.skills[1]
+        belief_after_update = model[1]
         ev2 = EngagementEvent("x", 1, ((1, 0.8), (2, 0.4)), 1)
         propagator(model, ev2)
-        assert model.skills[1] is belief_after_update
-        assert 2 in model.skills  # the genuinely new topic got a propagated prior
+        assert model[1] is belief_after_update
+        assert 2 in model  # the genuinely new topic got a propagated prior
 
 
 class TestDegeneracy:
     def test_zero_table_replay_identical_to_baseline(self):
         ds = random_sessions(n_learners=100, seed=21)
         cfg = ModelConfig()
-        table = zero_table()
+        table = SRTable("w2v")
         propagator = SemanticPropagator(table, ALL, cfg)
         base_out = {}
         sem_out = {}
@@ -325,17 +322,17 @@ class TestDegeneracy:
     def test_zero_table_final_states_identical(self):
         ds = random_sessions(n_learners=10, seed=22)
         cfg = ModelConfig()
-        propagator = SemanticPropagator(zero_table(), ALL, cfg)
+        propagator = SemanticPropagator(SRTable("w2v"), ALL, cfg)
         for events in ds.learners.values():
-            base_model = LearnerModel()
-            sem_model = LearnerModel()
+            base_model = {}
+            sem_model = {}
             for ev in events:
                 update(base_model, ev, cfg)
             for ev in events:
                 propagator(sem_model, ev)
                 update(sem_model, ev, cfg)
-            assert base_model.skills == sem_model.skills
-            assert base_model.skills.keys() == sem_model.skills.keys()
+            assert base_model == sem_model
+            assert base_model.keys() == sem_model.keys()
 
 
 class TestClusteredCohort:
