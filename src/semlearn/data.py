@@ -147,12 +147,9 @@ class Dataset:
         return sorted(l for l, s in self.split.items() if s == "test")
 
 
-def _event_topics(
-    cells, ids: dict, report: IngestReport, top_topics: int | None
-) -> tuple[tuple[int, float], ...]:
+def _event_topics(cells, ids: dict, report: IngestReport) -> tuple[tuple[int, float], ...]:
     """Parse one event's (topic id, depth) text cells into its checked topic tuple.
 
-    Every cell must parse; only the first ``top_topics`` pairs are kept.
     Raises ValueError on schema violations (duplicates, too many entries,
     non-finite depth). Depths outside [0, 1] are clamped, and counted in
     ``report`` once the topics pass.
@@ -160,8 +157,6 @@ def _event_topics(
     topics, seen_ids, clamped = [], set(), 0
     for topic, depth in cells:
         topic_id, depth = ids[topic], float(depth)
-        if len(topics) == top_topics:
-            continue
         if topic_id in seen_ids:
             raise ValueError(f"duplicate topic id {topic_id} within one event")
         seen_ids.add(topic_id)
@@ -219,7 +214,8 @@ def load_events(path, top_topics: int | None = None) -> Dataset:
     CSV otherwise; either way each row's text cells go through one parser.
     Malformed rows are rejected and counted (first offending line reported);
     a duplicate (learner, order_index) pair is a hard error. ``top_topics``
-    keeps only the first k topics of each event (file order is rank order).
+    keeps the first k topics of each checked event (file order is rank order),
+    so which rows load does not depend on it.
     """
     if top_topics is not None and top_topics < 1:
         raise ValueError(f"top_topics must be >= 1, got {top_topics}")
@@ -235,7 +231,7 @@ def load_events(path, top_topics: int | None = None) -> Dataset:
             rows = ((n, line) for n, line in enumerate(fh, start=1) if not line.isspace())
             cells = _json_cells
         else:
-            header = next(reader, None)
+            header = next(filter(None, reader), None)
             if header is not None and tuple(h.strip() for h in header) != EVENT_FIELDS:
                 raise DataError(
                     f"{path}: expected header {','.join(EVENT_FIELDS)}, got {','.join(header)}"
@@ -251,7 +247,7 @@ def load_events(path, top_topics: int | None = None) -> Dataset:
                 if order_index < 0:
                     raise ValueError(f"order_index must be >= 0, got {order_index}")
                 label = _parse_label(label)
-                topics = _event_topics(topic_cells, ids, report, top_topics)
+                topics = _event_topics(topic_cells, ids, report)[:top_topics]
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 report.malformed_rows += 1
                 if report.first_malformed_line is None:

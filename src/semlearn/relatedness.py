@@ -53,12 +53,13 @@ def load_sr_table(path, metric: str) -> SRTable:
     Values outside [0,1] are clamped with a warning; a value that is not finite is an
     error naming its line. Duplicate pairs keep the last value with a count reported. An
     unknown metric is an error listing what the file provides, and so is a wide header
-    that names no metric or one metric twice. A file with no rows loads as a table with
-    no pairs, and a zero-byte file reads as a long-format header.
+    that names no metric or one metric twice. Empty lines are skipped, the header's too; a
+    file with no rows loads as a table with no pairs, and one with no header as long format.
     """
     metric = metric.lower()
     with open_text(path, "SR table", newline="") as fh, csv_reader(fh, path) as reader:
-        header = [h.strip().lower() for h in next(reader, ["topic_a", "topic_b", "metric", "value"])]
+        header = next(filter(None, reader), ["topic_a", "topic_b", "metric", "value"])
+        header = [h.strip().lower() for h in header]
         if header[:2] != ["topic_a", "topic_b"]:
             raise DataError(f"{path}: SR header must start with topic_a,topic_b")
         long_format = header[2:] == ["metric", "value"]
@@ -82,9 +83,7 @@ def load_sr_table(path, metric: str) -> SRTable:
         rows = defaultdict(dict)
         written = clamped = 0
         # reader.line_num, the line a record ends on, is read only for a message.
-        for row in reader:
-            if not row:
-                continue
+        for row in filter(None, reader):
             try:
                 a, b = ids[row[0]], ids[row[1]]
                 if long_format:

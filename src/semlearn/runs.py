@@ -234,11 +234,7 @@ def _model_report(model_id: str, traces: dict[str, Trace], propagation) -> dict:
         "weighted": {"precision": precision, "recall": recall, "f1": f1},
         "learners": [
             {
-                "learner_id": s.learner_id,
-                "n_events": s.n_events,
-                "precision": s.precision,
-                "recall": s.recall,
-                "f1": s.f1,
+                **asdict(s),
                 "predictions": [p for p, _ in traces[s.learner_id]],
                 "labels": [l for _, l in traces[s.learner_id]],
             }

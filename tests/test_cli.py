@@ -15,6 +15,8 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semlearn
 from semlearn import evaluation, runs
@@ -28,7 +30,7 @@ from semlearn.runs import (
 )
 from semlearn.semantic import PropagationConfig
 
-from synthetic import clustered_corpus, random_sessions, write_sr_csv
+from synthetic import clustered_corpus, random_sessions, random_sr_table, write_sr_csv
 
 # The next float past each ModelConfig bound.
 PAST_THE_BOUNDS = [
@@ -767,6 +769,22 @@ class TestValidateData:
             capsys.readouterr().out
         )
 
+    def test_top_topics_loads_the_same_rows(self, tmp_path, capsys):
+        eleven = ";".join(f"{t}:0.5" for t in range(11))
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "learner_id,order_index,label,topics\n"
+            f"a,0,1,1:0.5\na,1,1,{eleven}\na,2,0,1:0.5;2:0.5;2:0.5\na,3,1,1:0.5;2:nan\n"
+            "b,0,1,3:0.5;4:0.5\n"
+        )
+
+        def counts(*options):
+            assert run(["validate-data", "--data", path, *options]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith(("events:", "malformed rows:"))]
+
+        assert counts() == counts("--top-topics", 1) == ["events: 2", "malformed rows: 3"]
+
     def test_long_sr_header_without_rows_is_a_table_with_no_pairs(self, corpus, tmp_path, capsys):
         sr = tmp_path / "sr.csv"
         sr.write_text("topic_a,topic_b,metric,value\n")
@@ -845,6 +863,94 @@ class TestValidateData:
     def test_top_topics_below_one_is_usage_error(self, corpus, k):
         assert run(["validate-data", "--data", corpus["events"], "--top-topics", k]) == 1
         assert run(["evaluate", "--data", corpus["events"], "--top-topics", k]) == 1
+
+
+# The input files each command reads; evaluate and tune run with --config.
+COMMAND_INPUTS = {
+    "evaluate": ("events", "sr", "config"),
+    "tune": ("events", "sr", "config", "grid"),
+    "analyze": ("events", "sr", "report"),
+    "validate-data": ("events", "sr"),
+}
+FUZZ_RUNS = [(command, name) for command, names in COMMAND_INPUTS.items() for name in names]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Tiny valid inputs: events in both formats, with an evaluate --compare report
+    of each, a long and a wide table, a config and a grid."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    dataset = random_sessions(n_learners=6, seed=1, topic_pool=6, min_events=2, max_events=4)
+    table = random_sr_table(seed=1, topic_pool=6, n_pairs=8)
+    for fmt in ("long", "wide"):
+        write_sr_csv(table, root / f"sr.{fmt}", fmt)
+    (root / "config.json").write_text(json.dumps({"draw_margin_eps": 0.6, "omega_size": 3}))
+    (root / "grid.json").write_text(json.dumps({"draw_margin_eps": [0.3, 0.6]}))
+    for fmt in ("csv", "jsonl"):
+        save_events(dataset, root / f"events.{fmt}", fmt=fmt)
+        files = {"events": root / f"events.{fmt}", "sr": root / "sr.long",
+                 "config": root / "config.json", "out": root / fmt}
+        assert run(fuzz_args("evaluate", files)) == 0
+    return root
+
+
+def fuzz_args(command, files):
+    """``command``'s arguments, reading ``files`` and writing under ``files["out"]``."""
+    inputs = ["--data", files["events"], "--sr-table", files["sr"], "--out-dir", files["out"]]
+    if command == "evaluate":
+        return ["evaluate", "--compare", *inputs, "--config", files["config"],
+                "--train-fraction", "0.5"]
+    if command == "tune":
+        return ["tune", "--model", "semantic-truelearn", *inputs, "--config", files["config"],
+                "--grid", files["grid"], "--train-fraction", "0.5"]
+    if command == "analyze":
+        return ["analyze", files["report"], *inputs]
+    return ["validate-data", *inputs[:4]]
+
+
+# A byte put in by an edit: half the time one the formats give meaning to.
+FUZZ_BYTE = st.one_of(st.sampled_from(b',;:"{}[]\n0123456789.-e'), st.integers(0, 255))
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """``data`` with each (offset, bytes cut, bytes put in) edit applied in turn."""
+    for at, cut, blob in edits:
+        at %= len(data) + 1
+        data = data[:at] + blob + data[at + cut:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    run_and_input=st.sampled_from(FUZZ_RUNS),
+    event_fmt=st.sampled_from(["csv", "jsonl"]),
+    sr_fmt=st.sampled_from(["long", "wide"]),
+    edits=st.lists(
+        st.tuples(st.integers(0, 2**16), st.integers(0, 2),
+                  st.lists(FUZZ_BYTE, max_size=2).map(bytes)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_mutated_input_exits_with_a_known_code(
+    tmp_path_factory, fuzz_inputs, run_and_input, event_fmt, sr_fmt, edits
+):
+    command, mutated = run_and_input
+    folder = tmp_path_factory.mktemp("fuzz")
+    files = {"out": folder / "out"}
+    for name, valid in [
+        ("events", fuzz_inputs / f"events.{event_fmt}"),
+        ("sr", fuzz_inputs / f"sr.{sr_fmt}"),
+        ("config", fuzz_inputs / "config.json"),
+        ("grid", fuzz_inputs / "grid.json"),
+        ("report", fuzz_inputs / event_fmt / "report.json"),
+    ]:
+        data = valid.read_bytes()
+        files[name] = folder / valid.name
+        files[name].write_bytes(mutate(data, edits) if name == mutated else data)
+    # No exception escapes main. A bad config or grid value is a usage error (1);
+    # whatever is wrong with an events, table or report file is a data error (2).
+    code = run(fuzz_args(command, files))
+    assert code in ((0, 2) if mutated in ("events", "sr", "report") else (0, 1, 2))
 
 
 def modules_loaded_by(code):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semlearn.data import (
+    MAX_TOPICS_PER_EVENT,
     DataError,
     Dataset,
     EngagementEvent,
@@ -138,6 +139,20 @@ class TestLoadCsv:
         ds = load_events(tmp_events_csv([f"a,0,1,{topics}"]), top_topics=3)
         assert ds.learners["a"][0].topic_ids() == (0, 1, 2)
 
+    @pytest.mark.parametrize(
+        "topics",
+        [
+            ";".join(f"{t}:0.1" for t in range(11)),
+            "1:0.5;2:0.5;2:0.25",
+            "1:0.5;2:nan",
+        ],
+        ids=["eleven topics", "repeated id", "nan depth"],
+    )
+    def test_row_malformed_past_the_top_topics_is_malformed(self, tmp_events_csv, topics):
+        path = tmp_events_csv([f"a,0,1,{topics}", "a,1,1,1:0.2"])
+        for ds in (load_events(path), load_events(path, top_topics=1)):
+            assert (ds.ingest.malformed_rows, ds.n_events) == (1, 1)
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_top_topics_below_one_is_value_error(self, tmp_events_csv, k):
         with pytest.raises(ValueError, match="top_topics must be >= 1"):
@@ -153,6 +168,16 @@ class TestLoadCsv:
         path.write_text("user,idx,y,topics\na,0,1,1:0.5\n")
         with pytest.raises(DataError, match="header"):
             load_events(path)
+
+    def test_empty_lines_before_the_header_are_skipped(self, tmp_path, tmp_events_csv):
+        plain = tmp_events_csv(["a,0,1,1:0.5", "b,0,0,2:0.25"])
+        padded = tmp_path / "padded.csv"
+        padded.write_bytes(b"\n\r\n" + plain.read_bytes())
+        assert load_events(padded) == load_events(plain)
+        only_empty_lines = tmp_path / "empty.csv"
+        only_empty_lines.write_text("\n\n")
+        ds = load_events(only_empty_lines)
+        assert (ds.n_learners, ds.ingest.rows_read) == (0, 0)
 
 
 # A record of each CSV input, the second spelling holding a quoted cell that
@@ -449,6 +474,46 @@ class TestMatchesReferenceParser:
         ds = load_events(write_events(tmp_path / f"events{suffix}", rows))
         ids = [topic for ev in ds.learners["a"] for topic, _ in ev.topics]
         assert len({id(topic) for topic in ids}) == len(set(ids)) == 2
+
+
+@st.composite
+def many_topic_rows(draw):
+    """Rows of 1-12 topics, ids repeating within a row now and then, and about one
+    depth in eight not finite; the finite depths lie partly outside [0, 1]."""
+    keys = draw(
+        st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 20)), min_size=1,
+                 max_size=12, unique=True)
+    )
+
+    def depth():
+        if draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return draw(st.floats(-0.5, 1.5))
+
+    return [
+        (learner, order, draw(st.sampled_from([0, 1])),
+         [(str(draw(st.integers(0, 40))), depth()) for _ in range(draw(st.integers(1, 12)))])
+        for learner, order in keys
+    ]
+
+
+class TestTopTopics:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=many_topic_rows(),
+        suffix=st.sampled_from([".csv", ".jsonl"]),
+        k=st.integers(1, MAX_TOPICS_PER_EVENT),
+    )
+    def test_cuts_each_event_of_the_rows_loaded_whole(self, tmp_path_factory, rows, suffix, k):
+        path = write_events(tmp_path_factory.mktemp("events") / f"events{suffix}", rows)
+        whole, cut = load_events(path), load_events(path, top_topics=k)
+        # The same rows are malformed, and the depths clamped count whole rows.
+        assert cut.ingest == whole.ingest
+        assert {lid: [(e.order_index, e.label, e.topics[:k]) for e in events]
+                for lid, events in whole.learners.items()} == {
+            lid: [(e.order_index, e.label, e.topics) for e in events]
+            for lid, events in cut.learners.items()
+        }
 
 
 class TestRoundTrip:

@@ -127,6 +127,18 @@ class TestLoadSrTable:
         assert (len(table), table.metric) == (0, metric)
         assert "empty SR file" in caplog.text
 
+    @pytest.mark.parametrize(
+        "header, row",
+        [("topic_a,topic_b,metric,value", "1,2,w2v,0.8"),
+         ("topic_a,topic_b,w2v,mw", "1,2,0.8,0.1")],
+    )
+    def test_empty_lines_before_the_header_are_skipped(self, tmp_path, header, row):
+        path = write_lines(tmp_path / "sr.csv", ["", "\r", header, row])
+        assert load_sr_table(path, "w2v").neighbours == {1: {2: 0.8}, 2: {1: 0.8}}
+        # A file of only empty lines loads like a zero-byte one, under any metric.
+        path.write_text("\n\n")
+        assert len(load_sr_table(path, "pmi")) == 0
+
     def test_wide_format_unknown_metric(self, tmp_path):
         path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,mw", "1,2,0.1"])
         with pytest.raises(DataError, match="available: mw"):
