@@ -95,7 +95,7 @@ def cmd_validate_data(data_path, sr_table_path, sr_metric, top_topics):
     """Load inputs, print ingestion diagnostics, and exit nonzero on hard errors."""
     dataset = load_events(data_path, top_topics=top_topics)
     report = dataset.ingest
-    print(f"learners: {dataset.n_learners}")
+    print(f"learners: {len(dataset.learners)}")
     print(f"events: {dataset.n_events}")
     print(f"rows read: {report.rows_read}")
     print(f"malformed rows: {report.malformed_rows}")
@@ -121,8 +121,8 @@ def _parser() -> _Parser:
     run.add_argument("--sr-metric", choices=METRICS)
     run.add_argument("--omega", choices=_OMEGA_CHOICES)
     run.add_argument("--config", dest="config_path", help="JSON config file.")
-    run.add_argument("--seed", type=int, default=42, help=_DEFAULT)
-    run.add_argument("--train-fraction", type=fraction, default=0.7, help=_DEFAULT)
+    run.add_argument("--seed", type=int, default=RunSpec.seed, help=_DEFAULT)
+    run.add_argument("--train-fraction", type=fraction, default=RunSpec.train_fraction, help=_DEFAULT)
     run.add_argument("--top-learners", type=positive_int, help="Keep the N most active learners.")
     run.add_argument("--workers", type=positive_int, default=1, help=_DEFAULT)
     run.add_argument("--model", choices=MODELS, default=MODELS[0], help=_DEFAULT)
@@ -130,6 +130,7 @@ def _parser() -> _Parser:
     parser = _Parser(
         prog="semlearn", description="Engagement prediction from evolving Gaussian skill beliefs."
     )
+    sr_metric = dict(choices=METRICS, default=PropagationConfig.sr_metric, help=_DEFAULT)
     commands = parser.add_subparsers(title="commands", required=True, metavar="COMMAND")
 
     def command(name, fn, parents):
@@ -152,11 +153,11 @@ def _parser() -> _Parser:
     analyze = command("analyze", cmd_analyze, [data])
     analyze.add_argument("reports", nargs="+", metavar="REPORT")
     analyze.add_argument("--sr-table", dest="sr_table_path", required=True)
-    analyze.add_argument("--sr-metric", choices=METRICS, default="w2v", help=_DEFAULT)
+    analyze.add_argument("--sr-metric", **sr_metric)
     analyze.add_argument("--out-dir", default="runs/analyze", help=_DEFAULT)
     validate = command("validate-data", cmd_validate_data, [data])
     validate.add_argument("--sr-table", dest="sr_table_path")
-    validate.add_argument("--sr-metric", choices=METRICS, default="w2v", help=_DEFAULT)
+    validate.add_argument("--sr-metric", **sr_metric)
     return parser
 
 

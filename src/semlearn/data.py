@@ -56,6 +56,12 @@ def csv_reader(fh, path):
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
+def blank(row: list[str]) -> bool:
+    """No record, in any input file and before a header as after it: an empty or
+    whitespace-only line. ``row`` is csv.reader's cells of it; JSON lines ask ``str.isspace``."""
+    return not row or len(row) == 1 and row[0].isspace()
+
+
 def read_json(path, what: str):
     """The JSON value in ``path``; a file that cannot be read or parsed is a DataError."""
     with open_text(path, what) as fh:
@@ -87,9 +93,6 @@ class EngagementEvent:
     order_index: int
     topics: tuple[tuple[int, float], ...]  # (topic_id, depth in [0,1]), 1..10 entries
     label: int  # +1 engaged, -1 not engaged
-
-    def topic_ids(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.topics)
 
 
 @dataclass
@@ -130,15 +133,8 @@ class Dataset:
     ingest: IngestReport | None = field(default=None, compare=False)
 
     @property
-    def n_learners(self) -> int:
-        return len(self.learners)
-
-    @property
     def n_events(self) -> int:
         return sum(len(evs) for evs in self.learners.values())
-
-    def learner_ids(self) -> list[str]:
-        return sorted(self.learners)
 
     def train_ids(self) -> list[str]:
         return sorted(l for l, s in self.split.items() if s == "train")
@@ -231,14 +227,15 @@ def load_events(path, top_topics: int | None = None) -> Dataset:
             rows = ((n, line) for n, line in enumerate(fh, start=1) if not line.isspace())
             cells = _json_cells
         else:
-            header = next(filter(None, reader), None)
+            header = next(itertools.filterfalse(blank, reader), None)
             if header is not None and tuple(h.strip() for h in header) != EVENT_FIELDS:
                 raise DataError(
                     f"{path}: expected header {','.join(EVENT_FIELDS)}, got {','.join(header)}"
                 )
             # A JSON line comes with its number; a CSV row with None, its line
             # (reader.line_num) being read only where a message names it.
-            rows, cells = zip(itertools.repeat(None), filter(None, reader)), _csv_cells
+            rows = zip(itertools.repeat(None), itertools.filterfalse(blank, reader))
+            cells = _csv_cells
         for line_no, raw in rows:
             report.rows_read += 1
             try:
@@ -278,7 +275,7 @@ def save_events(dataset: Dataset, path, fmt: str = "csv") -> None:
         raise ValueError(f"unknown event format {fmt!r}")
     rows = (
         [ev.learner_id, ev.order_index, 1 if ev.label == ENGAGED else 0, ev.topics]
-        for learner_id in dataset.learner_ids()
+        for learner_id in sorted(dataset.learners)
         for ev in dataset.learners[learner_id]
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -295,12 +292,12 @@ def save_events(dataset: Dataset, path, fmt: str = "csv") -> None:
 def split_learners(dataset: Dataset, train_fraction: float, seed: int) -> Dataset:
     """Assign each learner to train or test, deterministically for a fixed seed.
 
-    The split is learner-level: |train| = round(train_fraction * n_learners),
+    The split is learner-level: |train| = round(train_fraction * len(learners)),
     clamped so both splits are non-empty.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    ids = dataset.learner_ids()
+    ids = sorted(dataset.learners)
     if len(ids) < 2:
         raise DataError(f"need at least 2 learners to split, got {len(ids)}")
     rng = random.Random(seed)

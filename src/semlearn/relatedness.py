@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .data import DataError, _ParsedCells, csv_reader, open_text
+from .data import DataError, _ParsedCells, blank, csv_reader, open_text
 
 log = logging.getLogger(__name__)
 
@@ -53,12 +53,12 @@ def load_sr_table(path, metric: str) -> SRTable:
     Values outside [0,1] are clamped with a warning; a value that is not finite is an
     error naming its line. Duplicate pairs keep the last value with a count reported. An
     unknown metric is an error listing what the file provides, and so is a wide header
-    that names no metric or one metric twice. Empty lines are skipped, the header's too; a
-    file with no rows loads as a table with no pairs, and one with no header as long format.
+    that names no metric or one metric twice. Blank lines are skipped, the header's too; a
+    file with no header reads as long format, and one that loads no pair warns.
     """
     metric = metric.lower()
     with open_text(path, "SR table", newline="") as fh, csv_reader(fh, path) as reader:
-        header = next(filter(None, reader), ["topic_a", "topic_b", "metric", "value"])
+        header = next(itertools.filterfalse(blank, reader), ["topic_a", "topic_b", "metric", "value"])
         header = [h.strip().lower() for h in header]
         if header[:2] != ["topic_a", "topic_b"]:
             raise DataError(f"{path}: SR header must start with topic_a,topic_b")
@@ -67,15 +67,14 @@ def load_sr_table(path, metric: str) -> SRTable:
         ids = _ParsedCells(int)
         metric_cells = _ParsedCells(lambda cell: cell.strip().lower())
         if long_format:
-            # A long file provides its metric cells, normalised (a live view).
-            col, available = 3, metric_cells.values()
+            col = 3
         elif len(header) == 2:
             raise DataError(f"{path}: SR header names no metric")
         elif repeated := sorted({h for h in header if header.count(h) > 1}):
             names = ", ".join(map(repr, repeated))
             raise DataError(f"{path}: SR header names {names} more than once")
         elif metric in header[2:]:
-            col, available = header.index(metric, 2), header[2:]
+            col = header.index(metric, 2)
         else:
             raise DataError(
                 f"{path}: metric {metric!r} not present; available: {', '.join(header[2:])}"
@@ -90,6 +89,8 @@ def load_sr_table(path, metric: str) -> SRTable:
                     row_metric = metric_cells[row[2]]
                 value = float(row[col])
             except (ValueError, IndexError) as exc:
+                if blank(row):  # a whitespace-only line, a 1-cell row, fails only here
+                    continue
                 raise DataError(f"{path}:{reader.line_num}: bad SR row: {exc}") from exc
             if long_format and row_metric != metric:
                 continue
@@ -104,12 +105,12 @@ def load_sr_table(path, metric: str) -> SRTable:
                 written += 1
                 rows[a][b] = value
                 rows[b][a] = value
-    if not available:  # a long file's header (or a zero-byte file) with no rows
-        log.warning("%s: empty SR file", path)
-    elif metric not in available:
-        available = ", ".join(sorted(set(available)))
+    if metric_cells and metric not in metric_cells.values():  # only a long file fills it
+        available = ", ".join(sorted(set(metric_cells.values())))
         raise DataError(f"{path}: metric {metric!r} not present; available: {available}")
     table = SRTable(metric, dict(rows))
+    if not rows:
+        log.warning("%s: no %s pair loaded", path, metric)
     # Every written pair is new or overwrites an earlier one.
     if written > len(table):
         log.warning("%s: %d duplicate pair(s), last value kept", path, written - len(table))
@@ -142,7 +143,7 @@ class LearnerTopicGraph:
 
 def build_topic_graph(events, table: SRTable) -> LearnerTopicGraph:
     """Build a session's topic graph from its events."""
-    topics = {t for ev in events for t in ev.topic_ids()}
+    topics = {t for ev in events for t, _ in ev.topics}
     rows = table.neighbours
     edges = frozenset(
         (a, b)

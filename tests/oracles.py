@@ -271,22 +271,22 @@ def session_edges_brute(relatedness, topics) -> set[tuple[int, int]]:
 def sr_rows_reference(path, metric: str):
     """Neighbour rows, duplicate count, clamp count and the metrics an SR file holds.
 
-    csv, then ``int``/``float`` per cell, in the loader's order (ids, metric
-    cell, value), then ``setdefault`` into both rows. A bad cell raises the
+    Lines that are empty or whitespace only are dropped, and the first line
+    left is the header. Each other line goes through csv on its own, then
+    ``int``/``float`` per cell, in the loader's order (ids, metric cell,
+    value), then ``setdefault`` into both rows. A bad cell raises the
     exception ``int``/``float`` or indexing raises, with its line number as
     ``(line_no, exc)``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = list(csv.reader(fh))
-    header = [h.strip().lower() for h in lines[0]]
+        lines = [(n, next(csv.reader([line]))) for n, line in enumerate(fh, 1) if line.strip()]
+    header = [h.strip().lower() for h in lines[0][1]]
     long_format = header[2:] == ["metric", "value"]
     col = 3 if long_format else header.index(metric, 2)
     available = set() if long_format else set(header[2:])
     rows: dict[int, dict[int, float]] = {}
     written = clamped = 0
-    for line_no, cells in enumerate(lines[1:], start=2):
-        if not cells:
-            continue
+    for line_no, cells in lines[1:]:
         try:
             a = int(cells[0])
             b = int(cells[1])
@@ -311,9 +311,11 @@ def sr_rows_reference(path, metric: str):
 def events_reference(path):
     """Sorted (learner_id, order_index, label +-1, topics) rows of an event file.
 
-    Each row is parsed cell by cell with ``int``/``float`` (topics split on
-    ";" and ":" for CSV, ``[[id, depth], ...]`` for JSON lines), depths are
-    clamped to [0, 1], and the rows are sorted by learner, then order index.
+    Lines that are empty or whitespace only are dropped first, in either
+    format, and a CSV file's first line left is its header. Each row is parsed
+    cell by cell with ``int``/``float`` (topics split on ";" and ":" for CSV,
+    ``[[id, depth], ...]`` for JSON lines), depths are clamped to [0, 1],
+    and the rows are sorted by learner, then order index.
     A row whose cells do not parse (a ``ValueError``, or the ``OverflowError``
     of ``int`` on an infinite JSON number) is dropped and counted; no other
     schema rule is checked. Returns the rows, the number of clamped depths
@@ -328,7 +330,7 @@ def events_reference(path):
                     [(int(t), float(d)) for t, d in r["topics"]])
     else:
         with open(path, newline="", encoding="utf-8") as fh:
-            records = [row for row in list(csv.reader(fh))[1:] if row]
+            records = [next(csv.reader([line])) for line in fh if line.strip()][1:]
 
         def parse(cells):
             learner, order, label, topics = cells

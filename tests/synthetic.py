@@ -12,6 +12,9 @@ from semlearn.relatedness import SRTable
 # propagated prior near zero predicts engaged.
 CLUSTERED_CONFIG = dict(beta=1.0, beta_perf=0.25, draw_margin_eps=0.6)
 
+# Lines that no input file reads as a record: empty or whitespace only.
+BLANK_LINES = ("", " ", "\t", " \t ")
+
 
 def random_sessions(
     n_learners: int = 20,

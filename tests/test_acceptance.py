@@ -171,7 +171,7 @@ def test_criterion_6_synthetic_directional_gain():
     propagator = SemanticPropagator(table, ALL_RELATED, cfg)
     base_scores = []
     sem_scores = []
-    for lid in dataset.learner_ids():
+    for lid in sorted(dataset.learners):
         events = dataset.learners[lid]
         base_scores.append(score_learner(lid, replay_session(events, cfg)))
         sem_scores.append(score_learner(lid, replay_session(events, cfg, propagator)))

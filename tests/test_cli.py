@@ -1104,7 +1104,7 @@ def test_pool_parent_loads_scipy_before_forking(corpus):
         "from semlearn.novel import ModelConfig\n"
         "from semlearn.runs import replay_cohort\n"
         f"ds = load_events({str(corpus['events'])!r})\n"
-        "replay_cohort(ds, ds.learner_ids()[:4], [(ModelConfig(), None)], workers=2)"
+        "replay_cohort(ds, sorted(ds.learners)[:4], [(ModelConfig(), None)], workers=2)"
     )
     assert "scipy.special" in loaded
 
@@ -1250,7 +1250,7 @@ class TestRunHelpers:
     def test_select_top_learners_tie_break(self):
         ds = random_sessions(n_learners=6, seed=2, min_events=3, max_events=3)
         subset = select_top_learners(ds, 4)
-        assert subset.learner_ids() == sorted(ds.learner_ids())[:4]
+        assert sorted(subset.learners) == sorted(ds.learners)[:4]
 
     def test_select_top_learners_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="top_learners must be >= 1, got 0"):

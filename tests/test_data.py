@@ -19,7 +19,7 @@ from semlearn.data import (
 from semlearn.relatedness import load_sr_table
 
 from oracles import events_reference
-from synthetic import random_sessions
+from synthetic import BLANK_LINES, random_sessions
 
 # Spellings that int() reads as the same id.
 ID_SPELLINGS = ("{}", "0{}", "+{}", " {}", "{} ")
@@ -74,19 +74,19 @@ class TestLoadCsv:
             ]
         )
         ds = load_events(path)
-        assert ds.n_learners == 1
+        assert len(ds.learners) == 1
         assert [e.label for e in ds.learners["alice"]] == [1, -1, 1]
         assert ds.learners["alice"][1].topics == ((11, 0.25), (12, 0.75))
 
     def test_empty_file_gives_empty_dataset(self, tmp_events_csv):
         ds = load_events(tmp_events_csv([]))
-        assert ds.n_learners == 0
+        assert len(ds.learners) == 0
         assert ds.ingest.rows_read == 0
 
     def test_five_topics_preserved_in_file_order(self, tmp_events_csv):
         topics = ";".join(f"{t}:0.3" for t in (5, 3, 9, 1, 7))
         ds = load_events(tmp_events_csv([f"bob,0,1,{topics}"]))
-        assert ds.learners["bob"][0].topic_ids() == (5, 3, 9, 1, 7)
+        assert [t for t, _ in ds.learners["bob"][0].topics] == [5, 3, 9, 1, 7]
 
     def test_rows_sorted_by_order_index(self, tmp_events_csv):
         path = tmp_events_csv(["a,2,1,1:0.5", "a,0,0,2:0.5", "a,1,1,3:0.5"])
@@ -137,7 +137,7 @@ class TestLoadCsv:
     def test_top_topics_truncation(self, tmp_events_csv):
         topics = ";".join(f"{t}:0.1" for t in range(8))
         ds = load_events(tmp_events_csv([f"a,0,1,{topics}"]), top_topics=3)
-        assert ds.learners["a"][0].topic_ids() == (0, 1, 2)
+        assert [t for t, _ in ds.learners["a"][0].topics] == [0, 1, 2]
 
     @pytest.mark.parametrize(
         "topics",
@@ -177,7 +177,7 @@ class TestLoadCsv:
         only_empty_lines = tmp_path / "empty.csv"
         only_empty_lines.write_text("\n\n")
         ds = load_events(only_empty_lines)
-        assert (ds.n_learners, ds.ingest.rows_read) == (0, 0)
+        assert (len(ds.learners), ds.ingest.rows_read) == (0, 0)
 
 
 # A record of each CSV input, the second spelling holding a quoted cell that
@@ -385,7 +385,7 @@ def load_outcome(path):
         return DataError
     report = ds.ingest
     return (
-        [(e.learner_id, e.order_index, e.label, e.topics) for lid in ds.learner_ids()
+        [(e.learner_id, e.order_index, e.label, e.topics) for lid in sorted(ds.learners)
          for e in ds.learners[lid]],
         (report.malformed_rows, report.clamped_depths, report.dropped_empty_topic_events),
     )
@@ -454,14 +454,19 @@ def test_directory_is_a_data_error_naming_it(tmp_path):
 
 class TestMatchesReferenceParser:
     @settings(max_examples=200, deadline=None)
-    @given(rows=event_rows(), suffix=st.sampled_from([".csv", ".jsonl"]))
-    def test_events_match(self, tmp_path_factory, rows, suffix):
+    @given(rows=event_rows(), suffix=st.sampled_from([".csv", ".jsonl"]), data=st.data())
+    def test_events_match(self, tmp_path_factory, rows, suffix, data):
         path = write_events(tmp_path_factory.mktemp("events") / f"events{suffix}", rows)
+        # Empty or whitespace-only lines anywhere, before the CSV header too.
+        lines = path.read_text().splitlines()
+        for blank in data.draw(st.lists(st.sampled_from(BLANK_LINES), max_size=3)):
+            lines.insert(data.draw(st.integers(0, len(lines))), blank)
+        path.write_text("\n".join(lines) + "\n")
         expected, clamped, dropped = events_reference(path)
         ds = load_events(path)
         loaded = [
             (ev.learner_id, ev.order_index, ev.label, ev.topics)
-            for lid in ds.learner_ids()
+            for lid in sorted(ds.learners)
             for ev in ds.learners[lid]
         ]
         assert loaded == expected

@@ -567,5 +567,5 @@ class TestReplaySession:
             model = {}
             for ev in events:
                 update(model, ev, cfg)
-            distinct = {t for ev in events for t in ev.topic_ids()}
+            distinct = {t for ev in events for t, _ in ev.topics}
             assert set(model) <= distinct

@@ -30,7 +30,7 @@ from oracles import (
     sr_rows_reference,
     vertex_connectivity_brute,
 )
-from synthetic import random_sessions, random_sr_table, write_sr_csv
+from synthetic import BLANK_LINES, random_sessions, random_sr_table, write_sr_csv
 
 
 def write_lines(path, lines):
@@ -46,8 +46,8 @@ SR_IDS = (0, 7, 300, 4096)
 @st.composite
 def sr_file_lines(draw):
     """A long- or wide-format SR file's lines: spellings of one id mixed, duplicate
-    pairs, self-pairs, zeros, other metrics, out-of-range values, blank lines,
-    and at most one bad row."""
+    pairs, self-pairs, zeros, other metrics, out-of-range values, bad rows, and
+    empty or whitespace-only lines anywhere, before the header too."""
     long_format = draw(st.booleans())
     spelled_id = st.builds(str.format, st.sampled_from(ID_SPELLINGS), st.sampled_from(SR_IDS))
     value = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(-2.0, 3.0)).map(repr)
@@ -61,9 +61,12 @@ def sr_file_lines(draw):
         cells = st.tuples(spelled_id, spelled_id, value, value)
         bad_rows = ["7,x,0.1,0.5", "7,8,0.1,abc", "7,8"]
     rows = [",".join(row) for row in draw(st.lists(cells, min_size=1, max_size=40))]
-    for extra in draw(st.lists(st.sampled_from(["", *bad_rows]), max_size=2)):
-        rows.insert(draw(st.integers(0, len(rows))), extra)
-    return [header, *rows]
+    for bad in draw(st.lists(st.sampled_from(bad_rows), max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    lines = [header, *rows]
+    for blank in draw(st.lists(st.sampled_from(BLANK_LINES), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    return lines
 
 
 class TestLoadSrTable:
@@ -114,10 +117,21 @@ class TestLoadSrTable:
         assert load_sr_table(path, "pmi").neighbours.get(1, {}).get(2, 0.0) == 0.3
         assert load_sr_table(path, "ba").neighbours.get(2, {}).get(1, 0.0) == 0.7
 
-    def test_long_header_without_rows_loads_as_no_pairs(self, tmp_path, caplog):
-        path = write_lines(tmp_path / "sr.csv", ["topic_a,topic_b,metric,value"])
-        assert len(load_sr_table(path, "w2v")) == 0
-        assert "empty SR file" in caplog.text
+    @pytest.mark.parametrize(
+        "lines",
+        [["topic_a,topic_b,metric,value"],
+         ["topic_a,topic_b,w2v,mw"],
+         # Self-pairs only; the long file holds both metrics so that either is present.
+         ["topic_a,topic_b,metric,value", "1,1,w2v,0.8", "2,02,mw,0.5"],
+         ["topic_a,topic_b,w2v,mw", "1,1,0.8,0.1", " 3,3,0.2,0.4"]],
+    )
+    @pytest.mark.parametrize("metric", ["w2v", "mw"])
+    def test_header_without_pairs_loads_as_no_pairs(self, tmp_path, caplog, lines, metric):
+        # Long or wide, with no rows or only self-pairs: no pair, and one warning naming the metric.
+        path = write_lines(tmp_path / "sr.csv", lines)
+        table = load_sr_table(path, metric)
+        assert (len(table), table.neighbours) == (0, {})
+        assert caplog.messages == [f"{path}: no {metric} pair loaded"]
 
     @pytest.mark.parametrize("metric", ["w2v", "pmi"])
     def test_zero_byte_file_loads_as_no_pairs(self, tmp_path, caplog, metric):
@@ -125,7 +139,7 @@ class TestLoadSrTable:
         path.write_bytes(b"")
         table = load_sr_table(path, metric)
         assert (len(table), table.metric) == (0, metric)
-        assert "empty SR file" in caplog.text
+        assert caplog.messages == [f"{path}: no {metric} pair loaded"]
 
     @pytest.mark.parametrize(
         "header, row",
@@ -241,6 +255,7 @@ class TestLoadSrTable:
         assert len(table) == sum(map(len, expected.values())) // 2
         warnings = [call.args[0] % call.args[1:] for call in warning.call_args_list]
         assert warnings == [
+            *([f"{path}: no w2v pair loaded"] if not expected else []),
             *([f"{path}: {duplicates} duplicate pair(s), last value kept"] if duplicates else []),
             *([f"{path}: {clamped} value(s) outside [0,1] clamped"] if clamped else []),
         ]

@@ -344,7 +344,7 @@ class TestClusteredCohort:
         propagator = SemanticPropagator(table, ALL, cfg)
         base_scores = []
         sem_scores = []
-        for lid in ds.learner_ids():
+        for lid in sorted(ds.learners):
             events = ds.learners[lid]
             base_scores.append(score_learner(lid, replay_session(events, cfg)))
             sem_scores.append(score_learner(lid, replay_session(events, cfg, propagator)))
