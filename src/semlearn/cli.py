@@ -11,10 +11,10 @@ import logging
 import sys
 from dataclasses import fields
 
-from .data import DataError, load_events, read_json
+from .data import DataError, read_json
 from .novel import ModelConfig
-from .relatedness import METRICS, load_sr_table
-from .runs import MODELS, RunSpec, analyze_run, evaluate_run, tune_run
+from .relatedness import METRICS
+from .runs import MODELS, RunSpec, analyze_run, evaluate_run, prepare_run, tune_run
 from .semantic import OMEGA_SIZES, PropagationConfig
 
 _OMEGA_CHOICES = tuple(str(size or "all") for size in OMEGA_SIZES)
@@ -91,9 +91,10 @@ def cmd_analyze(reports, out_dir, **settings):
     print(f"wrote {out['srocc']} and {out['recall_series']}")
 
 
-def cmd_validate_data(data_path, sr_table_path, sr_metric, top_topics):
+def cmd_validate_data(**settings):
     """Load inputs, print ingestion diagnostics, and exit nonzero on hard errors."""
-    dataset = load_events(data_path, top_topics=top_topics)
+    spec = _spec(**settings)
+    dataset, table, _ = prepare_run(spec, needs_table=spec.sr_table_path is not None, split=False)
     report = dataset.ingest
     print(f"learners: {len(dataset.learners)}")
     print(f"events: {dataset.n_events}")
@@ -103,8 +104,7 @@ def cmd_validate_data(data_path, sr_table_path, sr_metric, top_topics):
         print(f"  first at line {report.first_malformed_line}: {report.first_malformed_reason}")
     print(f"depths clamped: {report.clamped_depths}")
     print(f"empty-topic events dropped: {report.dropped_empty_topic_events}")
-    if sr_table_path is not None:
-        table = load_sr_table(sr_table_path, sr_metric)
+    if table is not None:
         print(f"sr pairs ({table.metric}): {len(table)}")
         topics = {t for events in dataset.learners.values() for e in events for t, _ in e.topics}
         covered = len(topics & table.neighbours.keys())
@@ -115,11 +115,13 @@ def _parser() -> _Parser:
     data = _Parser(add_help=False)
     data.add_argument("--data", dest="data_path", required=True, help="Event log (CSV or JSONL).")
     data.add_argument("--top-topics", type=positive_int, help="Keep the first K topics per event.")
+    data.add_argument("--sr-table", dest="sr_table_path", help="Relatedness CSV.")
+    # No argparse default here or for --omega: _spec lays a given one over the --config keys.
+    data.add_argument("--sr-metric", choices=METRICS, help=f"default: {PropagationConfig.sr_metric}")
 
     run = _Parser(add_help=False, parents=[data])
-    run.add_argument("--sr-table", dest="sr_table_path", help="Relatedness CSV.")
-    run.add_argument("--sr-metric", choices=METRICS)
-    run.add_argument("--omega", choices=_OMEGA_CHOICES)
+    omega = PropagationConfig.omega_size or "all"
+    run.add_argument("--omega", choices=_OMEGA_CHOICES, help=f"default: {omega}")
     run.add_argument("--config", dest="config_path", help="JSON config file.")
     run.add_argument("--seed", type=int, default=RunSpec.seed, help=_DEFAULT)
     run.add_argument("--train-fraction", type=fraction, default=RunSpec.train_fraction, help=_DEFAULT)
@@ -130,7 +132,6 @@ def _parser() -> _Parser:
     parser = _Parser(
         prog="semlearn", description="Engagement prediction from evolving Gaussian skill beliefs."
     )
-    sr_metric = dict(choices=METRICS, default=PropagationConfig.sr_metric, help=_DEFAULT)
     commands = parser.add_subparsers(title="commands", required=True, metavar="COMMAND")
 
     def command(name, fn, parents):
@@ -152,12 +153,8 @@ def _parser() -> _Parser:
     tune.add_argument("--out-dir", default="runs/tune", help=_DEFAULT)
     analyze = command("analyze", cmd_analyze, [data])
     analyze.add_argument("reports", nargs="+", metavar="REPORT")
-    analyze.add_argument("--sr-table", dest="sr_table_path", required=True)
-    analyze.add_argument("--sr-metric", **sr_metric)
     analyze.add_argument("--out-dir", default="runs/analyze", help=_DEFAULT)
-    validate = command("validate-data", cmd_validate_data, [data])
-    validate.add_argument("--sr-table", dest="sr_table_path")
-    validate.add_argument("--sr-metric", **sr_metric)
+    command("validate-data", cmd_validate_data, [data])
     return parser
 
 

@@ -32,10 +32,10 @@ class DataError(Exception):
 
 
 @contextlib.contextmanager
-def open_text(path, what: str, newline=None):
-    """``path`` open as UTF-8 text, BOM skipped; an unreadable or undecodable file is a DataError."""
+def open_text(path, what: str):
+    """``path`` open as UTF-8 text, ``newline=""``, BOM skipped; an unreadable file is a DataError."""
     try:
-        with open(path, newline=newline, encoding="utf-8-sig") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
@@ -220,7 +220,7 @@ def load_events(path, top_topics: int | None = None) -> Dataset:
     ids = _ParsedCells(int)
     learners: dict[str, list[EngagementEvent]] = {}
     seen_keys: set[tuple[str, int]] = set()
-    with open_text(path, "event file", newline="") as fh, csv_reader(fh, path) as reader:
+    with open_text(path, "event file") as fh, csv_reader(fh, path) as reader:
         head = next((line for line in fh if not line.isspace()), "")
         fh.seek(0)
         if head.lstrip().startswith("{"):

@@ -50,14 +50,14 @@ class SRTable:
 def load_sr_table(path, metric: str) -> SRTable:
     """Load one metric's SR table from a long- or wide-format CSV.
 
-    Values outside [0,1] are clamped with a warning; a value that is not finite is an
-    error naming its line. Duplicate pairs keep the last value with a count reported. An
-    unknown metric is an error listing what the file provides, and so is a wide header
-    that names no metric or one metric twice. Blank lines are skipped, the header's too; a
-    file with no header reads as long format, and one that loads no pair warns.
+    Values outside [0,1] are clamped with a warning; a non-finite value, or a row whose cell
+    count differs from its header's, is an error naming its line. Duplicate pairs keep the last
+    value, with a count reported. An unknown metric is an error listing what the file provides,
+    and so is a wide header naming no metric or one metric twice. Blank lines are skipped, the
+    header's too; a file with no header reads as long format, and one that loads no pair warns.
     """
     metric = metric.lower()
-    with open_text(path, "SR table", newline="") as fh, csv_reader(fh, path) as reader:
+    with open_text(path, "SR table") as fh, csv_reader(fh, path) as reader:
         header = next(itertools.filterfalse(blank, reader), ["topic_a", "topic_b", "metric", "value"])
         header = [h.strip().lower() for h in header]
         if header[:2] != ["topic_a", "topic_b"]:
@@ -66,29 +66,31 @@ def load_sr_table(path, metric: str) -> SRTable:
         # One parse per distinct id or metric cell, and one int object per id.
         ids = _ParsedCells(int)
         metric_cells = _ParsedCells(lambda cell: cell.strip().lower())
-        if long_format:
-            col = 3
-        elif len(header) == 2:
+        if len(header) == 2:
             raise DataError(f"{path}: SR header names no metric")
         elif repeated := sorted({h for h in header if header.count(h) > 1}):
             names = ", ".join(map(repr, repeated))
             raise DataError(f"{path}: SR header names {names} more than once")
-        elif metric in header[2:]:
-            col = header.index(metric, 2)
-        else:
+        elif not (long_format or metric in header[2:]):
             raise DataError(
                 f"{path}: metric {metric!r} not present; available: {', '.join(header[2:])}"
             )
+        col = None if long_format else header.index(metric, 2)  # a wide row's value cell
         rows = defaultdict(dict)
         written = clamped = 0
         # reader.line_num, the line a record ends on, is read only for a message.
+        # A row holds its header's cells: a long one unpacks, cheaper than a len check per row.
         for row in filter(None, reader):
             try:
-                a, b = ids[row[0]], ids[row[1]]
                 if long_format:
-                    row_metric = metric_cells[row[2]]
-                value = float(row[col])
-            except (ValueError, IndexError) as exc:
+                    a, b, row_metric, value = row
+                    row_metric = metric_cells[row_metric]
+                elif len(row) == len(header):
+                    a, b, value = row[0], row[1], row[col]
+                else:
+                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+                a, b, value = ids[a], ids[b], float(value)
+            except ValueError as exc:
                 if blank(row):  # a whitespace-only line, a 1-cell row, fails only here
                     continue
                 raise DataError(f"{path}:{reader.line_num}: bad SR row: {exc}") from exc

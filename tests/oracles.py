@@ -272,11 +272,12 @@ def sr_rows_reference(path, metric: str):
     """Neighbour rows, duplicate count, clamp count and the metrics an SR file holds.
 
     Lines that are empty or whitespace only are dropped, and the first line
-    left is the header. Each other line goes through csv on its own, then
-    ``int``/``float`` per cell, in the loader's order (ids, metric cell,
-    value), then ``setdefault`` into both rows. A bad cell raises the
-    exception ``int``/``float`` or indexing raises, with its line number as
-    ``(line_no, exc)``.
+    left is the header. Each other line goes through csv on its own and must
+    hold exactly the header's cells: a long row is unpacked into four names, a
+    wide row's cells are counted. Then ``int``/``float`` per cell, in the
+    loader's order (ids, value), then ``setdefault`` into both rows. A row of
+    the wrong width or a bad cell raises the exception the unpacking, the count
+    or ``int``/``float`` raises, with its line number as ``(line_no, exc)``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         lines = [(n, next(csv.reader([line]))) for n, line in enumerate(fh, 1) if line.strip()]
@@ -288,11 +289,17 @@ def sr_rows_reference(path, metric: str):
     written = clamped = 0
     for line_no, cells in lines[1:]:
         try:
-            a = int(cells[0])
-            b = int(cells[1])
-            row_metric = cells[2].strip().lower() if long_format else metric
-            value = float(cells[col])
-        except (ValueError, IndexError) as exc:
+            if long_format:
+                a, b, row_metric, value = cells
+            elif len(cells) == len(header):
+                a, b, row_metric, value = cells[0], cells[1], metric, cells[col]
+            else:
+                raise ValueError(f"expected {len(header)} columns, got {len(cells)}")
+            a = int(a)
+            b = int(b)
+            row_metric = row_metric.strip().lower()
+            value = float(value)
+        except ValueError as exc:
             raise ValueError(line_no, exc) from exc
         available.add(row_metric)
         if row_metric != metric:

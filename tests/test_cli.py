@@ -124,6 +124,24 @@ class TestCommandLineContract:
         for option in COMMAND_OPTIONS[command]:
             assert option in out, option
 
+    def test_every_command_prints_the_same_input_option_lines(self, capsys, monkeypatch):
+        # Each option's help line and the help text under it, declared once for all commands.
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def option_lines(command):
+            assert run([command, "--help"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            starts = [i for i, line in enumerate(lines) if line.startswith("  --sr-")]
+            return [lines[i:i + 2] for i in starts]
+
+        lines = {command: option_lines(command) for command in COMMAND_OPTIONS}
+        assert [[line.strip() for line in pair] for pair in lines["evaluate"]] == [
+            ["--sr-table SR_TABLE_PATH", "Relatedness CSV."],
+            ["--sr-metric {mw,w2v,pmi,lm,jaccard,cp,ba}",
+             f"default: {PropagationConfig.sr_metric}"],
+        ]
+        assert all(found == lines["evaluate"] for found in lines.values()), lines
+
     @pytest.mark.parametrize("args", [[], ["no-such-command"], ["evaluate"]])
     def test_missing_command_or_required_option_is_usage_error(self, args):
         assert run(args) == 1
@@ -510,6 +528,19 @@ class TestAnalyzeCommand:
         assert recall_rows[2] == "n,recall_truelearn-novel,recall_semantic-truelearn"
         assert len(recall_rows) > 3
 
+    def test_without_sr_table_is_usage_error_after_the_reports_are_read(
+        self, corpus, tmp_path, capsys
+    ):
+        base_out = tmp_path / "base"
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", base_out]) == 0
+        capsys.readouterr()
+        # The data file does not exist: loading it would exit 2.
+        missing = tmp_path / "missing.csv"
+        assert run(["analyze", base_out / "report.json", "--data", missing]) == 1
+        assert "needs an SR table (--sr-table)" in capsys.readouterr().err
+        # A report that is not one is read first, and refused as data.
+        assert run(["analyze", missing, "--data", missing]) == 2
+
     def test_single_report(self, corpus, tmp_path):
         base_out = tmp_path / "base"
         assert run(["evaluate", "--data", corpus["events"], "--out-dir", base_out]) == 0
@@ -858,6 +889,19 @@ class TestValidateData:
         for command in (["evaluate"], ["tune", "--grid", grid]):
             assert run([*command, "--data", path, "--out-dir", tmp_path / "out"]) == 2
             assert "field larger than field limit" in capsys.readouterr().err
+
+    def test_table_is_read_before_the_events_as_in_evaluate(self, tmp_path, capsys):
+        # Both inputs are bad: every command reports the table's error, and validate-data
+        # prints no event line before it.
+        events = tmp_path / "events.csv"
+        events.write_text("user,idx,y,topics\na,0,1,1:0.5\n")
+        sr = tmp_path / "sr.csv"
+        sr.write_text("topic_a,topic_b,metric,value\n1,2,w2v,nan\n")
+        for command in (["validate-data"], ["evaluate", "--compare", "--out-dir", tmp_path / "out"]):
+            assert run([*command, "--data", events, "--sr-table", sr]) == 2
+            captured = capsys.readouterr()
+            assert "sr.csv:2: relatedness must be finite" in captured.err, command
+            assert captured.out == ""
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_top_topics_below_one_is_usage_error(self, corpus, k):

@@ -55,11 +55,11 @@ def sr_file_lines(draw):
         header = "topic_a,topic_b,metric,value"
         metric = st.sampled_from(["w2v", " W2V", "mw", "Mw "])
         cells = st.tuples(spelled_id, spelled_id, metric, value)
-        bad_rows = ["7,x,w2v,0.5", "7,8,mw,abc", "7,8"]
+        bad_rows = ["7,x,w2v,0.5", "7,8,mw,abc", "7,8", "7,8,w2v,0.5,junk"]
     else:
         header = "topic_a,topic_b,mw,w2v"
         cells = st.tuples(spelled_id, spelled_id, value, value)
-        bad_rows = ["7,x,0.1,0.5", "7,8,0.1,abc", "7,8"]
+        bad_rows = ["7,x,0.1,0.5", "7,8,0.1,abc", "7,8", "7,8,0.1", "7,8,0.1,0.5,junk"]
     rows = [",".join(row) for row in draw(st.lists(cells, min_size=1, max_size=40))]
     for bad in draw(st.lists(st.sampled_from(bad_rows), max_size=2)):
         rows.insert(draw(st.integers(0, len(rows))), bad)
@@ -229,6 +229,21 @@ class TestLoadSrTable:
         )
         with pytest.raises(DataError, match="sr.csv:2"):
             load_sr_table(path, "w2v")
+
+    @pytest.mark.parametrize(
+        "header, row, reason",
+        [("topic_a,topic_b,metric,value", "1,2,w2v,0.5,junk", "too many values to unpack"),
+         ("topic_a,topic_b,metric,value", "1,2,w2v", "not enough values to unpack"),
+         ("topic_a,topic_b,mw,w2v", "1,2,0.5", "expected 4 columns, got 3"),
+         ("topic_a,topic_b,mw,w2v", "1,2,0.5,0.6,junk", "expected 4 columns, got 5")],
+    )
+    @pytest.mark.parametrize("metric", ["mw", "w2v"])
+    def test_row_holds_exactly_its_headers_cells(self, tmp_path, header, row, reason, metric):
+        # A cell too many or too few is an error under any metric, whether or not the
+        # row holds the metric's value.
+        path = write_lines(tmp_path / "sr.csv", [header, row])
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: bad SR row: {reason}")):
+            load_sr_table(path, metric)
 
     @settings(max_examples=300, deadline=None)
     @given(lines=sr_file_lines())
