@@ -14,7 +14,7 @@ from dataclasses import fields
 from .data import DataError, read_json
 from .novel import ModelConfig
 from .relatedness import METRICS
-from .runs import MODELS, RunSpec, analyze_run, evaluate_run, prepare_run, tune_run
+from .runs import MODELS, OUTPUTS, RunSpec, analyze_run, evaluate_run, prepare_run, tune_run
 from .semantic import OMEGA_SIZES, PropagationConfig
 
 _OMEGA_CHOICES = tuple(str(size or "all") for size in OMEGA_SIZES)
@@ -139,21 +139,20 @@ def _parser() -> _Parser:
             name, parents=parents, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False
         )
         sub.set_defaults(command=fn)
+        if name in OUTPUTS:
+            sub.add_argument("--out-dir", default=f"runs/{name}", help=_DEFAULT)
         return sub
 
     evaluate = command("evaluate", cmd_evaluate, [run])
     evaluate.add_argument(
         "--compare", action="store_true", help="Run both models and append a paired t-test."
     )
-    evaluate.add_argument("--out-dir", default="runs/evaluate", help=_DEFAULT)
     tune = command("tune", cmd_tune, [run])
     tune.add_argument(
         "--grid", dest="grid_path", required=True, help="JSON grid file ({param: [values...]})."
     )
-    tune.add_argument("--out-dir", default="runs/tune", help=_DEFAULT)
     analyze = command("analyze", cmd_analyze, [data])
     analyze.add_argument("reports", nargs="+", metavar="REPORT")
-    analyze.add_argument("--out-dir", default="runs/analyze", help=_DEFAULT)
     command("validate-data", cmd_validate_data, [data])
     return parser
 

@@ -106,22 +106,22 @@ class IngestReport:
     dropped_empty_topic_events: int = 0
     clamped_depths: int = 0
 
-    def log_warnings(self) -> None:
+    def log_warnings(self, path) -> None:
+        """Log what was rejected, clamped or dropped, each message under ``path: ``."""
         if self.malformed_rows:
             log.warning(
-                "%d malformed row(s) rejected; first at line %s: %s",
-                self.malformed_rows,
-                self.first_malformed_line,
-                self.first_malformed_reason,
+                "%s: %d malformed row(s) rejected; first at line %s: %s",
+                path, self.malformed_rows, self.first_malformed_line, self.first_malformed_reason,
             )
         if self.clamped_depths:
-            log.warning("%d depth value(s) outside [0,1] clamped", self.clamped_depths)
+            log.warning("%s: %d depth value(s) outside [0,1] clamped", path, self.clamped_depths)
         if self.dropped_empty_topic_events:
             log.warning(
-                "%d event(s) dropped for carrying no topics", self.dropped_empty_topic_events
+                "%s: %d event(s) dropped for carrying no topics",
+                path, self.dropped_empty_topic_events,
             )
         if self.rows_read == 0:
-            log.warning("event file contained no data rows")
+            log.warning("%s: event file contained no data rows", path)
 
 
 @dataclass
@@ -158,7 +158,7 @@ def _event_topics(cells, ids: dict, report: IngestReport) -> tuple[tuple[int, fl
         seen_ids.add(topic_id)
         if not 0.0 <= depth <= 1.0:
             if not math.isfinite(depth):
-                raise ValueError(f"non-finite depth {depth}")
+                raise ValueError(f"depth must be finite, got {depth}")
             clamped += 1
             depth = min(max(depth, 0.0), 1.0)
         topics.append((topic_id, depth))
@@ -265,7 +265,7 @@ def load_events(path, top_topics: int | None = None) -> Dataset:
 
     for events in learners.values():
         events.sort(key=lambda e: e.order_index)
-    report.log_warnings()
+    report.log_warnings(path)
     return Dataset(learners=learners, ingest=report)
 
 

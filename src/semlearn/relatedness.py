@@ -88,11 +88,13 @@ def load_sr_table(path, metric: str) -> SRTable:
                 elif len(row) == len(header):
                     a, b, value = row[0], row[1], row[col]
                 else:
-                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+                    raise ValueError  # worded below
                 a, b, value = ids[a], ids[b], float(value)
             except ValueError as exc:
                 if blank(row):  # a whitespace-only line, a 1-cell row, fails only here
                     continue
+                if len(row) != len(header):  # one wording of a wrong width, long or wide
+                    exc = ValueError(f"expected {len(header)} columns, got {len(row)}")
                 raise DataError(f"{path}:{reader.line_num}: bad SR row: {exc}") from exc
             if long_format and row_metric != metric:
                 continue

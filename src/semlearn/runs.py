@@ -2,6 +2,8 @@
 
 Every run writes a manifest (config snapshot, input digests, seed) into its
 outputs, and one function, ``_manifest``, builds it for every command.
+``OUTPUTS`` names each command's files, for its manifest, its output paths
+and the CLI's ``--out-dir``.
 Rerunning with the same inputs and seed reproduces every file byte-for-byte,
 at any worker count. Reports carry no timestamps for that reason.
 """
@@ -42,12 +44,12 @@ MODELS = (MODEL_BASELINE, MODEL_SEMANTIC)
 
 SIGNIFICANCE_LEVEL = 0.01
 
-REPORT_FILENAME = "report.json"
-SUMMARY_FILENAME = "summary.csv"
-BEST_CONFIG_FILENAME = "best_config.json"
-TUNING_FILENAME = "tuning_results.csv"
-SROCC_FILENAME = "srocc.csv"
-RECALL_SERIES_FILENAME = "recall_by_event.csv"
+# The files each command writes into its out dir, in the order its manifest lists them.
+OUTPUTS = {
+    "evaluate": ("report.json", "summary.csv"),
+    "tune": ("best_config.json", "tuning_results.csv"),
+    "analyze": ("srocc.csv", "recall_by_event.csv"),
+}
 
 
 def file_digest(path) -> str:
@@ -58,7 +60,7 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(command, models, inputs, outputs, spec) -> tuple[dict, str]:
+def _manifest(command, models, inputs, spec) -> tuple[dict, str]:
     """A run's manifest, everything needed to reproduce its outputs byte-identically,
     and its digest: the sha256 of its canonical JSON, so key order reaches no output.
 
@@ -70,7 +72,7 @@ def _manifest(command, models, inputs, outputs, spec) -> tuple[dict, str]:
         "command": command,
         "models": models,
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": list(OUTPUTS[command]),
         "model_config": asdict(replayed.model_config) if replayed else {},
         "propagation_config": (
             asdict(replayed.propagation_config) if replayed and MODEL_SEMANTIC in models else None
@@ -146,14 +148,15 @@ def prepare_run(
     return dataset, table, inputs
 
 
-def _make_out_dir(out_dir) -> Path:
-    """``out_dir``, created if missing; a path that cannot be a directory is a ValueError."""
+def _output_paths(command: str, out_dir) -> list[Path]:
+    """The paths of ``OUTPUTS[command]`` in ``out_dir``, which is created if missing;
+    a path that cannot be a directory is a ValueError."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot create output directory {out_dir}: {exc}") from exc
-    return out_dir
+    return [out_dir / name for name in OUTPUTS[command]]
 
 
 # --- cohort replay (cross-learner parallel, per-learner sequential) ---
@@ -261,7 +264,7 @@ def evaluate_run(
     spec: RunSpec, out_dir, model: str = MODEL_BASELINE, *, compare=False, workers=1
 ) -> dict:
     """Replay the test split under one model (or both with compare) and write reports."""
-    out_dir = _make_out_dir(out_dir)
+    report_path, summary_path = _output_paths("evaluate", out_dir)
     models = [MODEL_BASELINE, MODEL_SEMANTIC] if compare else [model]
     kinds = [_propagator_type(mid) for mid in models]
     dataset, table, inputs = prepare_run(spec, needs_table=any(kinds), split=True)
@@ -295,9 +298,7 @@ def evaluate_run(
             )
             comparison["metrics"][metric] = {"t": t, "p": p}
 
-    manifest, digest = _manifest(
-        "evaluate", models, inputs, [REPORT_FILENAME, SUMMARY_FILENAME], spec
-    )
+    manifest, digest = _manifest("evaluate", models, inputs, spec)
     report = {
         "manifest": manifest,
         "manifest_digest": digest,
@@ -306,7 +307,6 @@ def evaluate_run(
         "comparison": comparison,
     }
 
-    report_path, summary_path = out_dir / REPORT_FILENAME, out_dir / SUMMARY_FILENAME
     write_json_report(report, report_path)
     _write_csv(
         summary_path,
@@ -349,7 +349,7 @@ def tune_run(spec: RunSpec, grid_path, out_dir, model: str = MODEL_BASELINE, *, 
     per-point results table. The spec's model config is the base of every
     grid point.
     """
-    out_dir = _make_out_dir(out_dir)
+    best_path, tuning_path = _output_paths("tune", out_dir)
     kind = _propagator_type(model)
     configs = load_grid(grid_path, spec.model_config)
     dataset, table, inputs = prepare_run(spec, needs_table=kind is not None, split=True)
@@ -369,14 +369,7 @@ def tune_run(spec: RunSpec, grid_path, out_dir, model: str = MODEL_BASELINE, *, 
     best_cfg, best_f1 = configs[best_index], weighted[best_index][2]
 
     inputs["grid"] = file_digest(grid_path)
-    manifest, digest = _manifest(
-        "tune",
-        [model],
-        inputs,
-        [BEST_CONFIG_FILENAME, TUNING_FILENAME],
-        replace(spec, model_config=best_cfg),
-    )
-    best_path, tuning_path = out_dir / BEST_CONFIG_FILENAME, out_dir / TUNING_FILENAME
+    manifest, digest = _manifest("tune", [model], inputs, replace(spec, model_config=best_cfg))
     write_json_report(
         {"manifest_digest": digest, "manifest": manifest, "config": asdict(best_cfg)}, best_path
     )
@@ -457,7 +450,7 @@ def analyze_run(report_paths, spec: RunSpec, out_dir) -> dict:
     same learner set, and hold one trace entry per event of each learner.
     Session features are model-independent, so they are computed once.
     """
-    out_dir = _make_out_dir(out_dir)
+    srocc_path, series_path = _output_paths("analyze", out_dir)
     reports = [_load_report(p) for p in report_paths]
     # One column per model entry, in report order: a repeated model id keeps its own.
     columns = [column for _, entries in reports for column in entries]
@@ -496,10 +489,7 @@ def analyze_run(report_paths, spec: RunSpec, out_dir) -> dict:
     model_ids = [mid for mid, _ in columns]
 
     inputs.update({f"report_{i}": file_digest(p) for i, p in enumerate(report_paths)})
-    _, digest = _manifest(
-        "analyze", model_ids, inputs, [SROCC_FILENAME, RECALL_SERIES_FILENAME], spec
-    )
-    srocc_path, series_path = out_dir / SROCC_FILENAME, out_dir / RECALL_SERIES_FILENAME
+    _, digest = _manifest("analyze", model_ids, inputs, spec)
     _write_csv(
         srocc_path,
         digest,

@@ -273,11 +273,11 @@ def sr_rows_reference(path, metric: str):
 
     Lines that are empty or whitespace only are dropped, and the first line
     left is the header. Each other line goes through csv on its own and must
-    hold exactly the header's cells: a long row is unpacked into four names, a
-    wide row's cells are counted. Then ``int``/``float`` per cell, in the
-    loader's order (ids, value), then ``setdefault`` into both rows. A row of
-    the wrong width or a bad cell raises the exception the unpacking, the count
-    or ``int``/``float`` raises, with its line number as ``(line_no, exc)``.
+    hold exactly the header's cells, counted first in either format. Then
+    ``int``/``float`` per cell, in the loader's order (ids, value), then
+    ``setdefault`` into both rows. A row of the wrong width or a bad cell
+    raises the exception the count or ``int``/``float`` raises, with its line
+    number as ``(line_no, exc)``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         lines = [(n, next(csv.reader([line]))) for n, line in enumerate(fh, 1) if line.strip()]
@@ -289,12 +289,9 @@ def sr_rows_reference(path, metric: str):
     written = clamped = 0
     for line_no, cells in lines[1:]:
         try:
-            if long_format:
-                a, b, row_metric, value = cells
-            elif len(cells) == len(header):
-                a, b, row_metric, value = cells[0], cells[1], metric, cells[col]
-            else:
+            if len(cells) != len(header):
                 raise ValueError(f"expected {len(header)} columns, got {len(cells)}")
+            a, b, row_metric, value = cells if long_format else (cells[0], cells[1], metric, cells[col])
             a = int(a)
             b = int(b)
             row_metric = row_metric.strip().lower()

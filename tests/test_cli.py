@@ -785,6 +785,27 @@ class TestValidateData:
         assert "malformed rows: 1" in out
         assert "first at line 2" in out
 
+    @pytest.mark.parametrize("cells", [3, 5])
+    @pytest.mark.parametrize("kind", ["long table", "wide table", "event file"])
+    def test_a_row_of_the_wrong_width_reads_the_same_in_every_input(
+        self, corpus, tmp_path, capsys, kind, cells
+    ):
+        # A table's bad row is a data error, an event file's a malformed row; one wording.
+        header, row = {
+            "long table": ("topic_a,topic_b,metric,value", "1,2,w2v,0.5,x"),
+            "wide table": ("topic_a,topic_b,mw,w2v", "1,2,0.5,0.6,x"),
+            "event file": ("learner_id,order_index,label,topics", "a,0,1,3:0.5,x"),
+        }[kind]
+        path = tmp_path / "input.csv"
+        path.write_text(f"{header}\n{','.join(row.split(',')[:cells])}\n")
+        if kind == "event file":
+            assert run(["validate-data", "--data", path]) == 0
+            shown, where = capsys.readouterr().out, "first at line 2: "
+        else:
+            assert run(["validate-data", "--data", corpus["events"], "--sr-table", path]) == 2
+            shown, where = capsys.readouterr().err, f"data error: {path}:2: bad SR row: "
+        assert f"{where}expected 4 columns, got {cells}\n" in shown
+
     def test_sr_coverage_counts_event_topics_with_a_row(self, tmp_path, capsys):
         path = tmp_path / "events.csv"
         path.write_text("learner_id,order_index,label,topics\na,0,1,1:0.5;2:0.5\na,1,1,3:0.5\n")
@@ -1437,6 +1458,23 @@ class TestManifests:
                         *top_topics, "--out-dir", tmp_path / name]) == 0
             first_lines.add((tmp_path / name / "srocc.csv").read_text().splitlines()[0])
         assert len(first_lines) == 2
+
+    @pytest.mark.parametrize("command", sorted(runs.OUTPUTS))
+    def test_default_out_dir_holds_exactly_the_commands_outputs(self, corpus, tmp_path, command):
+        # No stray file and no missing one; evaluate's and tune's manifests list the same names.
+        report = tmp_path / "base" / "report.json"
+        assert run(["evaluate", "--data", corpus["events"], "--out-dir", report.parent]) == 0
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"beta": [0.5]}))
+        extra = {"evaluate": [], "tune": ["--grid", grid],
+                 "analyze": [report, "--sr-table", corpus["sr"]]}[command]
+        assert run([command, "--data", corpus["events"], *extra]) == 0
+        outputs = runs.OUTPUTS[command]
+        out_dir = tmp_path / "runs" / command  # the working directory's runs/<command>
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(outputs)
+        if command != "analyze":  # analyze's CSVs carry only the manifest's digest
+            manifest = json.loads((out_dir / outputs[0]).read_text())["manifest"]
+            assert manifest["outputs"] == list(outputs)
 
     def test_cli_and_evaluate_run_write_the_same_report(self, corpus, tmp_path):
         cfg = tmp_path / "cfg.json"

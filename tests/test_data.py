@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import re
 
@@ -410,12 +411,27 @@ class TestOneGrammar:
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_every_warning_names_the_event_file(tmp_path, caplog, suffix):
+    # A malformed row (label 2), a clamped depth and an event with no topics.
+    rows = [("a", 0, 1, [("3", 1.5)]), ("a", 1, 2, [("3", 0.5)]), ("a", 2, 0, [])]
+    path = write_events(tmp_path / f"events{suffix}", rows)
+    empty = tmp_path / f"empty{suffix}"
+    empty.write_text("")
+    with caplog.at_level(logging.WARNING, logger="semlearn.data"):
+        load_events(path)
+        load_events(empty)
+    assert [message.split(": ", 1)[0] for message in caplog.messages] == [str(path)] * 3 + [
+        str(empty)
+    ]
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
 @pytest.mark.parametrize("depth", [math.nan, math.inf])
 def test_non_finite_depth_is_a_malformed_row(tmp_path, suffix, depth):
     rows = [("a", 0, 1, [("3", 0.5)]), ("a", 1, 1, [("3", depth)])]
     ds = load_events(write_events(tmp_path / f"events{suffix}", rows))
     assert (ds.ingest.rows_read, ds.ingest.malformed_rows) == (2, 1)
-    assert ds.ingest.first_malformed_reason == f"non-finite depth {depth}"
+    assert ds.ingest.first_malformed_reason == f"depth must be finite, got {depth}"
 
 
 # A row whose learner id holds a byte that is not UTF-8, per event format.

@@ -232,8 +232,8 @@ class TestLoadSrTable:
 
     @pytest.mark.parametrize(
         "header, row, reason",
-        [("topic_a,topic_b,metric,value", "1,2,w2v,0.5,junk", "too many values to unpack"),
-         ("topic_a,topic_b,metric,value", "1,2,w2v", "not enough values to unpack"),
+        [("topic_a,topic_b,metric,value", "1,2,w2v,0.5,junk", "expected 4 columns, got 5"),
+         ("topic_a,topic_b,metric,value", "1,2,w2v", "expected 4 columns, got 3"),
          ("topic_a,topic_b,mw,w2v", "1,2,0.5", "expected 4 columns, got 3"),
          ("topic_a,topic_b,mw,w2v", "1,2,0.5,0.6,junk", "expected 4 columns, got 5")],
     )
