@@ -46,11 +46,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
-    return value
+def int_at_least(low: int):
+    """An argparse type: an int no less than ``low``."""
+
+    def integer(text: str) -> int:  # argparse's errors name it: "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not >= {low}")
+        return value
+
+    return integer
 
 
 def fraction(text: str) -> float:
@@ -114,7 +119,7 @@ def cmd_validate_data(**settings):
 def _parser() -> _Parser:
     data = _Parser(add_help=False)
     data.add_argument("--data", dest="data_path", required=True, help="Event log (CSV or JSONL).")
-    data.add_argument("--top-topics", type=positive_int, help="Keep the first K topics per event.")
+    data.add_argument("--top-topics", type=int_at_least(1), help="Keep the first K topics per event.")
     data.add_argument("--sr-table", dest="sr_table_path", help="Relatedness CSV.")
     # No argparse default here or for --omega: _spec lays a given one over the --config keys.
     data.add_argument("--sr-metric", choices=METRICS, help=f"default: {PropagationConfig.sr_metric}")
@@ -123,10 +128,10 @@ def _parser() -> _Parser:
     omega = PropagationConfig.omega_size or "all"
     run.add_argument("--omega", choices=_OMEGA_CHOICES, help=f"default: {omega}")
     run.add_argument("--config", dest="config_path", help="JSON config file.")
-    run.add_argument("--seed", type=int, default=RunSpec.seed, help=_DEFAULT)
+    run.add_argument("--seed", type=int_at_least(0), default=RunSpec.seed, help=_DEFAULT)
     run.add_argument("--train-fraction", type=fraction, default=RunSpec.train_fraction, help=_DEFAULT)
-    run.add_argument("--top-learners", type=positive_int, help="Keep the N most active learners.")
-    run.add_argument("--workers", type=positive_int, default=1, help=_DEFAULT)
+    run.add_argument("--top-learners", type=int_at_least(1), help="Keep the N most active learners.")
+    run.add_argument("--workers", type=int_at_least(1), default=1, help=_DEFAULT)
     run.add_argument("--model", choices=MODELS, default=MODELS[0], help=_DEFAULT)
 
     parser = _Parser(

@@ -297,6 +297,8 @@ def split_learners(dataset: Dataset, train_fraction: float, seed: int) -> Datase
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if seed < 0:  # random.Random(-k) seeds like Random(k): it would repeat a split
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ids = sorted(dataset.learners)
     if len(ids) < 2:
         raise DataError(f"need at least 2 learners to split, got {len(ids)}")

@@ -80,6 +80,8 @@ class ModelConfig:
             # Also catches an int too large for a float, where isfinite would overflow.
             if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            # A float either way, so 1 and 1.0 give one config, manifest and grid row.
+            object.__setattr__(self, f.name, float(value))
         try:
             prior = Gaussian1D(0.0, self.beta)
         except ValueError as err:
@@ -108,8 +110,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
+        unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**values)

@@ -162,11 +162,11 @@ def _output_paths(command: str, out_dir) -> list[Path]:
 # --- cohort replay (cross-learner parallel, per-learner sequential) ---
 
 
-def _propagator_type(model_id: str):
-    """The propagator class a model replays with, None for the baseline; ValueError if unknown."""
+def _propagation(model_id: str, spec: RunSpec) -> PropagationConfig | None:
+    """A model's propagation under ``spec``, None for the baseline; ValueError if unknown."""
     if model_id not in MODELS:
         raise ValueError(f"unknown model {model_id!r}; expected one of {MODELS}")
-    return SemanticPropagator if model_id == MODEL_SEMANTIC else None
+    return spec.propagation_config if model_id == MODEL_SEMANTIC else None
 
 
 _WORKER_VARIANTS = []
@@ -194,23 +194,29 @@ def ProcessPoolExecutor(**kwargs):
 def replay_cohort(
     dataset: Dataset,
     learner_ids: list[str],
-    variants: list[tuple[ModelConfig, SemanticPropagator | None]],
+    variants: list[tuple[ModelConfig, PropagationConfig | None]],
+    table: SRTable | None = None,
     workers: int = 1,
 ) -> list[dict[str, Trace]]:
-    """Replay each listed learner's session under every (config, propagator) variant.
+    """Replay each listed learner's session under every (config, propagation) variant.
 
-    One work item is one learner under every variant, so a call starts at
-    most one pool, of no more workers than learners. Returns one
-    {learner: trace} per variant, in sorted learner order, identical at any
-    worker count.
+    A propagation of None replays the baseline; any other propagates priors
+    over ``table``, through propagators built here once per call. One work
+    item is one learner under every variant, so a call starts at most one
+    pool, of no more workers than learners. Returns one {learner: trace} per
+    variant, in sorted learner order, identical at any worker count.
     """
+    if table is None and any(prop for _, prop in variants):
+        raise ValueError("a propagating variant needs an SR table")
+    variants = [(c, SemanticPropagator(table, p, c) if p else None) for c, p in variants]
     learner_ids = sorted(learner_ids)
     sessions = [dataset.learners[lid] for lid in learner_ids]
     # Import scipy.special here, before any worker forks: workers inherit it
     # instead of each importing it again, and no replayed event pays for it.
     _special()
-    workers = min(workers, len(sessions))
-    if workers <= 1:
+    workers = max(1, min(workers, len(sessions)))
+    log.info("%d learners x %d variants in %d process(es)", len(sessions), len(variants), workers)
+    if workers == 1:
         rows = [[replay_session(events, cfg, p) for cfg, p in variants] for events in sessions]
     else:
         with ProcessPoolExecutor(
@@ -266,8 +272,8 @@ def evaluate_run(
     """Replay the test split under one model (or both with compare) and write reports."""
     report_path, summary_path = _output_paths("evaluate", out_dir)
     models = [MODEL_BASELINE, MODEL_SEMANTIC] if compare else [model]
-    kinds = [_propagator_type(mid) for mid in models]
-    dataset, table, inputs = prepare_run(spec, needs_table=any(kinds), split=True)
+    props = [_propagation(mid, spec) for mid in models]
+    dataset, table, inputs = prepare_run(spec, needs_table=any(props), split=True)
     test_ids = dataset.test_ids()
     if compare and len(test_ids) < 2:
         raise DataError(
@@ -275,17 +281,10 @@ def evaluate_run(
             "the paired t-test of --compare needs at least 2"
         )
 
-    cfg = spec.model_config
     traces = replay_cohort(
-        dataset,
-        test_ids,
-        [(cfg, kind(table, spec.propagation_config, cfg) if kind else None) for kind in kinds],
-        workers=workers,
+        dataset, test_ids, [(spec.model_config, p) for p in props], table, workers=workers
     )
-    entries = [
-        _model_report(mid, column, spec.propagation_config if kind else None)
-        for mid, kind, column in zip(models, kinds, traces)
-    ]
+    entries = [_model_report(mid, column, p) for mid, p, column in zip(models, props, traces)]
 
     comparison = None
     if compare:
@@ -329,17 +328,13 @@ def load_grid(path, base: ModelConfig = ModelConfig()) -> list[ModelConfig]:
     grid = read_json(path, "grid file")
     if not isinstance(grid, dict) or not grid:
         raise DataError(f"{path}: grid file must be a non-empty JSON object")
-    names = list(grid)
-    value_lists = []
-    for name in names:
-        values = grid[name]
+    for name, values in grid.items():
         if not isinstance(values, list) or not values:
             raise DataError(f"{path}: grid entry {name!r} must be a non-empty list")
-        value_lists.append(values)
-    configs = []
-    for combo in itertools.product(*value_lists):
-        configs.append(ModelConfig.from_dict({**defaults, **dict(zip(names, combo))}))
-    return configs
+    return [
+        ModelConfig.from_dict({**defaults, **dict(zip(grid, combo))})
+        for combo in itertools.product(*grid.values())
+    ]
 
 
 def tune_run(spec: RunSpec, grid_path, out_dir, model: str = MODEL_BASELINE, *, workers=1) -> dict:
@@ -350,15 +345,12 @@ def tune_run(spec: RunSpec, grid_path, out_dir, model: str = MODEL_BASELINE, *, 
     grid point.
     """
     best_path, tuning_path = _output_paths("tune", out_dir)
-    kind = _propagator_type(model)
+    prop = _propagation(model, spec)
     configs = load_grid(grid_path, spec.model_config)
-    dataset, table, inputs = prepare_run(spec, needs_table=kind is not None, split=True)
+    dataset, table, inputs = prepare_run(spec, needs_table=prop is not None, split=True)
 
     traces = replay_cohort(
-        dataset,
-        dataset.train_ids(),
-        [(cfg, kind(table, spec.propagation_config, cfg) if kind else None) for cfg in configs],
-        workers=workers,
+        dataset, dataset.train_ids(), [(cfg, prop) for cfg in configs], table, workers=workers
     )
     weighted = []
     for index, (cfg, by_learner) in enumerate(zip(configs, traces)):

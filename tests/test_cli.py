@@ -80,6 +80,7 @@ BAD_SPLIT_OPTIONS = [
     ("--train-fraction", "1"),
     ("--train-fraction", "1.5"),
     ("--train-fraction", "nan"),
+    ("--seed", "-1"),
 ]
 
 
@@ -267,6 +268,17 @@ class TestEvaluateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["manifest"]["model_config"]["beta"] == 1.0
 
+    def test_an_int_and_a_float_config_number_write_the_same_bytes(self, corpus, tmp_path):
+        outs = []
+        for beta in ("1", "1.0"):
+            cfg_path = tmp_path / f"cfg_{beta}.json"
+            cfg_path.write_text(f'{{"beta": {beta}, "draw_margin_eps": 0.6}}')
+            out = tmp_path / f"beta_{beta}"
+            assert run(["evaluate", "--compare", "--data", corpus["events"], "--sr-table",
+                        corpus["sr"], "--config", cfg_path, "--out-dir", out]) == 0
+            outs.append((digest(out / "report.json"), digest(out / "summary.csv")))
+        assert outs[0] == outs[1]
+
     def test_non_finite_config_is_usage_error_before_loading(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"beta": NaN}')
@@ -400,6 +412,30 @@ class TestTuneCommand:
                         "--out-dir", out]) == 0
             outs.append((digest(out / "best_config.json"), digest(out / "tuning_results.csv")))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_an_int_and_a_float_config_number_write_the_same_bytes(self, corpus, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"draw_margin_eps": [0.3, 0.6]}))
+        outs = []
+        for beta in ("1", "1.0"):
+            cfg_path = tmp_path / f"cfg_{beta}.json"
+            cfg_path.write_text(f'{{"beta": {beta}}}')
+            out = tmp_path / f"beta_{beta}"
+            assert run(["tune", "--data", corpus["events"], "--grid", grid,
+                        "--config", cfg_path, "--out-dir", out]) == 0
+            outs.append((digest(out / "best_config.json"), digest(out / "tuning_results.csv")))
+        assert outs[0] == outs[1]
+
+    def test_a_grid_value_spelled_as_an_int_or_a_float_lists_alike(self, corpus, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"beta": [1, 1.0]}')
+        out = tmp_path / "tune_spellings"
+        assert run(["tune", "--data", corpus["events"], "--grid", grid, "--out-dir", out]) == 0
+        rows = [line.split(",") for line in (out / "tuning_results.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        # grid_index, then beta first of the sorted parameters; "selected" may differ.
+        assert rows[1][0:2] == ["0", "1.0"] and rows[2][0:2] == ["1", "1.0"]
+        assert rows[1][1:-1] == rows[2][1:-1]
 
     def test_empty_grid_is_error(self, corpus, tmp_path):
         grid = tmp_path / "grid.json"
@@ -1354,7 +1390,7 @@ class TestRunHelpers:
 
 
 def canonical_digest(manifest):
-    """The sha256 of a manifest's canonical JSON, computed here rather than by RunManifest."""
+    """The sha256 of a manifest's canonical JSON, computed here rather than by runs._manifest."""
     canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -593,6 +593,13 @@ class TestSplitLearners:
         with pytest.raises(ValueError):
             split_learners(ds, 1.0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, -42])
+    def test_rejects_negative_seed(self, seed):
+        # random.Random(-k) shuffles as Random(k) does: -1 would replay seed 1's split.
+        ds = random_sessions(n_learners=4, seed=1)
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+            split_learners(ds, 0.5, seed=seed)
+
     def test_rejects_single_learner(self):
         ds = random_sessions(n_learners=1, seed=1)
         with pytest.raises(DataError):

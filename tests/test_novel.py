@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import logging
 import math
 import operator
 import random
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semlearn.novel
+import semlearn.runs
 from semlearn.data import Dataset, EngagementEvent
 from semlearn.gaussians import Gaussian1D
 from semlearn.novel import (
@@ -161,6 +163,11 @@ class TestModelConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ModelConfig(**kwargs)
+
+    def test_an_int_is_stored_as_the_float_it_equals(self):
+        cfg = ModelConfig(beta=1, beta_perf=2, draw_margin_eps=1, decision_threshold=0.5)
+        assert cfg == ModelConfig(beta=1.0, beta_perf=2.0, draw_margin_eps=1.0)
+        assert all(type(value) is float for value in asdict(cfg).values())
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -501,9 +508,9 @@ class TestStep:
         self, cfg, sessions, table, prop_cfg
     ):
         dataset = Dataset(learners={f"u{i}": events for i, events in enumerate(sessions)})
-        variants = [(cfg, None), (cfg, SemanticPropagator(table, prop_cfg, cfg))]
-        serial = replay_cohort(dataset, list(dataset.learners), variants, workers=1)
-        assert replay_cohort(dataset, list(dataset.learners), variants, workers=2) == serial
+        variants = [(cfg, None), (cfg, prop_cfg)]
+        serial = replay_cohort(dataset, list(dataset.learners), variants, table, workers=1)
+        assert replay_cohort(dataset, list(dataset.learners), variants, table, workers=2) == serial
 
     def test_an_event_whose_posterior_the_floats_cannot_hold_changes_no_belief(self):
         # Near-noiseless, a not-engaged outcome at depth 1e-150 puts the skill
@@ -527,6 +534,36 @@ class TestStep:
                 update(model, ev, cfg)
             for skill in model.values():
                 assert skill.is_proper and math.isfinite(skill.mean)
+
+
+class TestReplayCohort:
+    def test_a_propagating_variant_without_a_table_is_refused_before_any_replay(
+        self, monkeypatch
+    ):
+        def replay_session(*args):
+            raise AssertionError("a learner was replayed")
+
+        monkeypatch.setattr(semlearn.runs, "replay_session", replay_session)
+        dataset = random_sessions(n_learners=3, seed=2)
+        cfg = ModelConfig()
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="a propagating variant needs an SR table"):
+                replay_cohort(
+                    dataset, list(dataset.learners), [(cfg, None), (cfg, PropagationConfig())],
+                    workers=workers,
+                )
+
+    @pytest.mark.parametrize("workers,processes", [(1, 1), (2, 2), (8, 3)])
+    def test_logs_learners_variants_and_the_processes_used(self, caplog, workers, processes):
+        dataset = random_sessions(n_learners=3, seed=2, max_events=5)
+        cfg = ModelConfig()
+        table = random_sr_table(seed=2)
+        with caplog.at_level(logging.INFO, logger="semlearn.runs"):
+            replay_cohort(
+                dataset, list(dataset.learners), [(cfg, None), (cfg, PropagationConfig())], table,
+                workers=workers,
+            )
+        assert caplog.messages == [f"3 learners x 2 variants in {processes} process(es)"]
 
 
 class TestReplaySession:
